@@ -101,7 +101,8 @@ def run_benchmarks() -> dict:
     # headline: full KG flagship (parse → link → canonicalize → triples)
     n_triples = timed('flagship_triples', lambda: run_flagship_on_documents(SF_DIR).count())
     # the full ED stack (bi-encoder embed → candidate top-k → cross-encoder
-    # rerank actor pools — the reference's 86%-of-runtime profile slot)
+    # rerank, fused into one task stage — the reference's 86%-of-runtime
+    # profile slot)
     timed('flagship_scored',
           lambda: run_flagship_on_documents(SF_DIR, linking='scored').count())
 

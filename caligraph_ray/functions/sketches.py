@@ -394,7 +394,8 @@ def hdr_quantiles(ds, value_col: str, qs=((1, 2), (9, 10), (99, 100))):
     ``ceil(q·n)`` — evaluated as the INTEGER cross-multiplication
     ``den·cum ≥ num·n`` (qs are (num, den) rationals), so both engines
     agree bit-for-bit. Returns one row of bucket lower bounds (the
-    sketch's ≤ 12.5%-relative-error answer) plus n.
+    sketch's ≤ 12.5%-relative-error answer) plus n; an empty input gives
+    n=0 and null lower bounds.
 
     Contrast with relational.grouped_quantiles_exact: that one is EXACT
     but its shuffle is bounded by the DISTINCT-value dim; this sketch is
@@ -411,7 +412,12 @@ def hdr_quantiles(ds, value_col: str, qs=((1, 2), (9, 10), (99, 100))):
 
     hist = collect_pandas(two_phase_sum(
         ds.map_batches(partial, batch_format='pandas'),
-        ['bucket'], 'n', alias='n')).sort_values('bucket')
+        ['bucket'], 'n', alias='n'))
+    if hist.empty:
+        # schema-less empty exchange: no bucket to select a quantile from
+        return pd.DataFrame([{'n': 0, **{f'p{round(100 * num / den)}_lb': None
+                                         for num, den in qs}}])
+    hist = hist.sort_values('bucket')
     total = int(hist['n'].sum())
     cum = hist['n'].cumsum().to_numpy()
     buckets = hist['bucket'].to_numpy()

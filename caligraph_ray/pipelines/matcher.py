@@ -199,7 +199,7 @@ class ThresholdedScoredMatcher(Matcher):
 
 class BiEncoderEmbedder:
     """``embed_batch`` seam wrapper around a (possibly trained)
-    TinyTransformer — the object each linker actor constructs once."""
+    TinyTransformer — the object each linker worker process builds once."""
 
     def __init__(self, model):
         self.model = model
@@ -212,7 +212,7 @@ class BiEncoderCosineReranker:
     """``score_pair`` through the SAME bi-encoder: cosine mapped into
     [0, 1] with the stand-ins' exact-match/empty contracts, so a trained
     model's retrieval quality flows through to the acceptance threshold.
-    Per-actor capped memo: each distinct label encodes once instead of
+    Per-instance capped memo: each distinct label encodes once instead of
     per candidate pair (identical floats — single-row encode_batch)."""
 
     def __init__(self, model):
@@ -235,6 +235,11 @@ class BiEncoderCosineReranker:
         cos = float(self._vec(mention_label) @ self._vec(entity_label))
         return float(round((cos + 1.0) / 2.0 * 0.99, 6))
 
+    def score_batch(self, mentions, entities) -> np.ndarray:
+        """``score_pair`` over aligned lists (identical floats per pair)."""
+        return np.array([self.score_pair(m, e)
+                         for m, e in zip(mentions, entities)], dtype=np.float64)
+
 
 class TrainedBiEncoderMatcher(ThresholdedScoredMatcher):
     """Gradient-trained ED matcher — closes the reference's model-training
@@ -245,7 +250,7 @@ class TrainedBiEncoderMatcher(ThresholdedScoredMatcher):
     wikilink (mention-label → gold-entity-label) pairs with
     in-batch-negative InfoNCE, then the SAME trained weights serve as both
     embedder (candidate generation) and cosine scorer (rerank) through the
-    factory seams — the trained model rides the identical Ray actor
+    factory seams — the trained model rides the identical Ray task
     plumbing as the deterministic stand-ins. Deterministic for a fixed
     seed (tests/test_train_transformer.py pins the val-F1 improvement
     over the untrained seam)."""
@@ -284,7 +289,7 @@ class TrainedBiEncoderMatcher(ThresholdedScoredMatcher):
             self.model, pairs, epochs=self.epochs,
             batch_size=self.batch_size, lr=self.lr, tau=self.tau,
             seed=self.seed)
-        model = self.model   # closure ships the trained weights per actor
+        model = self.model   # closure ships the trained weights per worker
         self.embedder_factory = lambda: BiEncoderEmbedder(model)
         self.reranker_factory = lambda: BiEncoderCosineReranker(model)
 

@@ -6,12 +6,12 @@ aggregate — partial counts inside ``map_batches`` (one row per key per
 batch, bounding shuffle volume by #batches × #distinct-keys-per-batch even
 for head surfaces like 'United States') followed by a small
 ``groupby().sum()``. The finished index is a driver dict put in the object
-store ONCE (``ray.put``) and read once per actor — never re-shipped per
-batch.
+store ONCE (``ray.put``) and read once per worker process — never
+re-shipped per batch.
 
-Lookup side (J1, reference wikimarkup_parser.py:50-59): an actor-pool
-``map_batches`` stage resolving unlinked mentions to their most-frequent
-entity for the surface form.
+Lookup side (J1, reference wikimarkup_parser.py:50-59): a stateless
+``map_batches`` stage (``link_mentions``) resolving unlinked mentions to
+their most-frequent entity for the surface form.
 """
 
 from __future__ import annotations
@@ -208,26 +208,6 @@ def entity_names_from_index(index: AliasIndex) -> List[str]:
 
 
 LINKED_EXTRA_FIELDS = [('entity', pa.string()), ('link_score', pa.float64())]
-
-
-class AliasLinker:
-    """Resolve each mention to an entity + confidence (ST9/J1 lookup stage).
-
-    Linked mentions keep their wikilink target (score 1.0). Unlinked mentions
-    get the most frequent entity for their surface with score
-    freq/total_freq; surfaces unknown to the index stay NIL (entity null) —
-    downstream canonicalization assigns NEW_ENTITY cluster ids
-    (reference page_parser.py:519-525 + resource.py:173-194 semantics).
-
-    Usable as an actor class (index in __init__) or through the stateless
-    ``link_mentions`` task path with the process-local broadcast cache.
-    """
-
-    def __init__(self, index_ref):
-        self.index: AliasIndex = ray.get(index_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return link_batch(batch, self.index)
 
 
 def _resolve_surface(index: AliasIndex, surf: str):

@@ -19,12 +19,16 @@ Execution shapes: embeddings are added per batch in an actor-pool
 ``map_batches``; candidate generation broadcasts the (small) entity matrix
 once and does one matmul per batch (ME candidates) or groups by surface
 (MM candidates, J7's shared-group-key self-join); reranking is a stateless
-pair-scoring pass + per-mention argmax shuffle.
+pair-scoring pass + per-mention argmax shuffle. The fused linkers
+(``link_mentions_scored[_sharded]``) run all three as stateless tasks: the
+models load once per worker process through the broadcast cache and each
+batch makes one ``score_batch`` rerank call.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
@@ -38,13 +42,13 @@ from ..functions.hashing import stable_hash64
 
 
 def _pool_size() -> Tuple[int, int]:
-    """Default actor-pool bounds scaled to the cluster (a real model pool is
-    sized by accelerator count instead — pass concurrency explicitly)."""
+    """Default actor-pool bounds: at most one one-CPU actor per cluster CPU
+    (size a real model pool by accelerator count via ``concurrency=``)."""
     try:
-        cpus = int(ray.cluster_resources().get('CPU', 8))
+        cpus = int(ray.cluster_resources().get('CPU', 1))
     except Exception:
-        cpus = 8
-    return (1, max(8, cpus))
+        cpus = os.cpu_count() or 1
+    return (1, max(1, cpus))
 
 
 # --- ST4: bi-encoder stand-in ----------------------------------------------
@@ -277,11 +281,11 @@ class CrossEncoderReranker:
         self.mention_col = mention_col
         self.entity_col = entity_col
         self.dim = dim
-        # per-actor embedding memo: the linker scores each mention against
+        # per-instance embedding memo: the linker scores each mention against
         # k candidates (k redundant mention embeds) and entity labels
         # repeat across every batch (the dim is bounded) — same floats,
         # just computed once. Capped so unbounded mention streams cannot
-        # grow actor heap; eviction clears wholesale (regrows in one batch)
+        # grow worker heap; eviction clears wholesale (regrows in one batch)
         self._memo: dict = {}
 
     def _emb(self, text: str) -> np.ndarray:
@@ -300,10 +304,16 @@ class CrossEncoderReranker:
         cos = float(self._emb(mention_label) @ self._emb(entity_label))
         return round(0.5 + 0.5 * max(cos, -1.0) * 0.99, 6)
 
+    def score_batch(self, mentions, entities) -> np.ndarray:
+        """``score_pair`` over aligned lists, pair by pair (the same floats;
+        one call per batch is the interface a real cross-encoder batches
+        behind)."""
+        return np.array([self.score_pair(m, e)
+                         for m, e in zip(mentions, entities)], dtype=np.float64)
+
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        batch['ce_score'] = [self.score_pair(m, e)
-                             for m, e in zip(batch[self.mention_col],
-                                             batch[self.entity_col])]
+        batch['ce_score'] = self.score_batch(batch[self.mention_col],
+                                             batch[self.entity_col])
         return batch
 
 
@@ -341,6 +351,126 @@ def rerank_candidates(pairs_ds, mention_id_col: str = 'mention_uid',
 
 # --- full scored-linking path ----------------------------------------------
 
+class _LinkerState:
+    """What every fused-linker task reads through ``get_broadcast``: refs to
+    the embedded entity shards ((labels, normalized matrix) pairs) plus the
+    two model factories. The broadcast cache keeps ONE deserialized copy
+    per worker process, so the models and the shard LRU hung off it here
+    are built once per process, never per batch."""
+
+    def __init__(self, embedder_factory, reranker_factory, shard_refs,
+                 max_cached_shards: int):
+        self.factories = (embedder_factory, reranker_factory)
+        self.shard_refs, self.max_cached_shards = shard_refs, max_cached_shards
+        self._models = None
+        self._shards: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def models(self):
+        if self._models is None:
+            self._models = (self.factories[0](), self.factories[1]())
+        return self._models
+
+    def shard(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Embedded shard ``i`` (LRU of ``max_cached_shards``; a miss is a
+        zero-copy fetch from plasma, never a re-embed)."""
+        got = self._shards.pop(i, None)
+        if got is None:
+            got = ray.get(self.shard_refs[i])
+            if self._shards and len(self._shards) >= self.max_cached_shards:
+                self._shards.pop(next(iter(self._shards)))
+        self._shards[i] = got
+        return got
+
+    def candidates(self, q: np.ndarray, rows, kk: int) -> List[np.ndarray]:
+        """Top-``kk`` entity labels of each mention in ``rows`` (embeddings
+        ``q``): each shard's top-k merged into a running global top-k under
+        the same (score desc, label asc) comparator as ``_topk_idx`` — so
+        the candidate SET equals the full-matrix top-k (any global winner
+        wins its shard too), whatever the sharding."""
+        cand_s = [np.empty(0, dtype=np.float64) for _ in rows]
+        cand_l = [np.empty(0, dtype=object) for _ in rows]
+        for si in range(len(self.shard_refs)):
+            labels, emat = self.shard(si)
+            if not len(labels):
+                continue
+            sims = q @ emat.T
+            ks = min(kk, len(labels))
+            for r, i in enumerate(rows):
+                idx = _topk_idx(sims[i], labels, ks)
+                s, l = sims[i][idx], labels[idx]
+                if len(cand_l[r]):   # the first shard needs no merge
+                    s = np.concatenate([cand_s[r], s])
+                    l = np.concatenate([cand_l[r], l])
+                    keep = np.lexsort((l, -s))[:kk]
+                    s, l = s[keep], l[keep]
+                cand_s[r], cand_l[r] = s, l
+        return cand_l
+
+
+def _default_factories(dim: int, embedder_factory, reranker_factory):
+    """The deterministic stand-ins wherever a factory is not given."""
+    return (embedder_factory or (lambda: HashEmbedder(dim=dim)),
+            reranker_factory or (lambda: CrossEncoderReranker(dim=dim)))
+
+
+def _nil_links(batch: pd.DataFrame) -> pd.DataFrame:
+    """Linking against an empty entity dim: wikilinked mentions keep their
+    target at score 1.0 (the documented contract); only unlinked go NIL."""
+    out = batch.copy()
+    linked = out['name'].notna()
+    out['entity'] = out['name'].where(linked, None)
+    out['link_score'] = np.where(linked, 1.0, 0.0)
+    return out
+
+
+def _link_batch(batch: pd.DataFrame, st: _LinkerState, kk: int) -> pd.DataFrame:
+    """The fused-linker kernel. Wikilinked rows keep ``(name, 1.0)``; the
+    rest get their top-``kk`` candidates reranked by ONE ``score_batch``
+    call over every (mention × candidate) pair of the batch. Per mention
+    the argmax wins, ties to the lexicographically first label, and a zero
+    best score stays NIL (the rule ``rerank_candidates`` applies)."""
+    need = batch['name'].isna().to_numpy()
+    entities: List[Optional[str]] = batch['name'].tolist()
+    scores = np.where(need, 0.0, 1.0)
+    rows = np.flatnonzero(need)
+    if len(rows):
+        emb, rr = st.models()
+        # the whole batch, as each embedder's floats depend on its batch
+        cands = st.candidates(emb.embed_batch(list(batch['label'])), rows, kk)
+        labels = batch['label'].to_numpy(dtype=object)
+        ms = [labels[i] or '' for i, c in zip(rows, cands) for _ in c]
+        es = [str(e) for c in cands for e in c]
+        ce = rr.score_batch(ms, es) if es else []
+        pos = 0
+        for i, c in zip(rows, cands):
+            best_e, best_s = None, 0.0
+            for e, s in zip(es[pos:pos + len(c)], ce[pos:pos + len(c)]):
+                if s > best_s or (s == best_s and best_e is not None
+                                  and e < best_e):
+                    best_e, best_s = e, float(s)
+            pos += len(c)
+            entities[i] = best_e
+            scores[i] = round(best_s, 6) if best_e is not None else 0.0
+    batch['entity'] = np.array(entities, dtype=object)   # object even when empty
+    batch['link_score'] = scores
+    return batch
+
+
+def _link_against_shards(mentions_ds, shard_refs, kk: int, embedder_factory,
+                         reranker_factory, max_cached_shards: int):
+    """Both fused linkers: one stateless ``map_batches`` function (no actor
+    pool, so it fuses with its neighbours) over the broadcast state."""
+    from ..state.broadcast import get_broadcast
+    state = ray.put(_LinkerState(embedder_factory, reranker_factory,
+                                 shard_refs, max_cached_shards))
+
+    def link(batch: pd.DataFrame) -> pd.DataFrame:
+        return _link_batch(batch, get_broadcast(state), kk)
+
+    return mentions_ds.map_batches(link, batch_format='pandas',
+                                   batch_size=AGG_BATCH_SIZE)
+
+
 def link_mentions_scored(mentions_ds, entity_labels: List[str], k: int = 4,
                          dim: int = 64,
                          embedder_factory=None, reranker_factory=None):
@@ -349,7 +479,7 @@ def link_mentions_scored(mentions_ds, entity_labels: List[str], k: int = 4,
     encoder rerank argmax (ST7) → (entity, link_score) columns with the
     ``link_mentions`` output contract. Wikilinked mentions keep their
     target (score 1.0); a mention stays NIL only when the entity dim is
-    empty or its label is empty (score_pair 0.0 beats nothing) — every
+    empty or its label is empty (score 0.0 beats nothing) — every
     other unlinked mention carries its argmax candidate with its RAW ce
     score. Acceptance thresholding is downstream (me_threshold in
     canonicalize, .95 as the reference), exactly as the reference scores
@@ -360,77 +490,26 @@ def link_mentions_scored(mentions_ds, entity_labels: List[str], k: int = 4,
 
     ``embedder_factory`` / ``reranker_factory``: zero-arg callables
     returning an ``embed_batch(texts) -> (n, d)`` embedder and a
-    ``score_pair(m, e) -> float`` scorer — the constructor-swap seam. The
-    defaults are the deterministic stand-ins; the factories run once on
-    the driver (to embed the small entity dim) and once per ACTOR, so a
-    real model loads per worker, never per batch. The swap is proved
+    ``score_batch(mentions, entities) -> (n,)`` scorer — the
+    constructor-swap seam. The defaults are the deterministic stand-ins;
+    the factories run once on the driver (to embed the small entity dim)
+    and once per WORKER PROCESS (stateless tasks, state in the broadcast
+    cache), so a real model loads per worker, never per batch. With real
+    models on accelerators, wire the three actor-pool stages (embed_texts
+    → me_candidates_topk → rerank_candidates) yourself. The swap is proved
     end-to-end in tests/test_tiny_transformer.py with a real numpy
     transformer (multi-head attention forward pass)."""
-    if embedder_factory is None:
-        embedder_factory = lambda: HashEmbedder(dim=dim)   # noqa: E731
-    if reranker_factory is None:
-        reranker_factory = lambda: CrossEncoderReranker(dim=dim)   # noqa: E731
+    embedder_factory, reranker_factory = _default_factories(
+        dim, embedder_factory, reranker_factory)
     ents = sorted(set(e for e in entity_labels if e))
     if not ents:
-        # no known-entity dim: wikilinked mentions still keep their target
-        # at score 1.0 (the documented contract); only unlinked go NIL
-        def nil(batch: pd.DataFrame) -> pd.DataFrame:
-            out = batch.copy()
-            linked = out['name'].notna()
-            out['entity'] = out['name'].where(linked, None)
-            out['link_score'] = np.where(linked, 1.0, 0.0)
-            return out
-        return mentions_ds.map_batches(nil, batch_format='pandas')
-
+        return mentions_ds.map_batches(_nil_links, batch_format='pandas')
     emat = embedder_factory().embed_batch(ents)
     emat = emat / np.maximum(np.linalg.norm(emat, axis=1, keepdims=True), 1e-12)
-    labels_arr = np.array(ents, dtype=object)
-    state = ray.put((labels_arr, emat))
-
-    class ScoredLinker:
-        """One actor = embedder + candidate matmul + reranker (fused: the
-        stand-ins are cheap; with real models wire the three actor-pool
-        stages — embed_texts → me_candidates_topk → rerank_candidates —
-        yourself; ce-score ties break to the lexicographically-first
-        entity label, the same rule rerank_candidates applies)."""
-
-        def __init__(self):
-            self.labels, self.emat = ray.get(state)
-            self.emb = embedder_factory()
-            self.rr = reranker_factory()
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if not len(batch):
-                out = batch.copy()
-                out['entity'] = pd.Series(dtype=object)
-                out['link_score'] = pd.Series(dtype='float64')
-                return out
-            q = self.emb.embed_batch(list(batch['label']))
-            sims = q @ self.emat.T
-            entities: List[Optional[str]] = []
-            scores: List[float] = []
-            kk = min(k, sims.shape[1])
-            for i, (name, label) in enumerate(zip(batch['name'], batch['label'])):
-                if name is not None and not (isinstance(name, float) and np.isnan(name)):
-                    entities.append(name)
-                    scores.append(1.0)
-                    continue
-                idx = _topk_idx(sims[i], self.labels, kk)
-                best_e, best_s = None, 0.0
-                for j in idx:
-                    ce = self.rr.score_pair(label or '', str(self.labels[j]))
-                    if ce > best_s or (ce == best_s and best_e is not None
-                                       and str(self.labels[j]) < best_e):
-                        best_e, best_s = str(self.labels[j]), ce
-                entities.append(best_e)
-                scores.append(round(best_s, 6) if best_e is not None else 0.0)
-            batch['entity'] = entities
-            batch['link_score'] = scores
-            return batch
-
-    return mentions_ds.map_batches(ScoredLinker, batch_format='pandas',
-                                   batch_size=AGG_BATCH_SIZE,
-                                   concurrency=_pool_size())
+    # the whole dim as ONE shard: its top-k is the plain _topk_idx
+    shard = ray.put((np.array(ents, dtype=object), emat))
+    return _link_against_shards(mentions_ds, [shard], min(k, len(ents)),
+                                embedder_factory, reranker_factory, 1)
 
 
 def link_mentions_scored_sharded(mentions_ds, names_ds, k: int = 4,
@@ -440,42 +519,25 @@ def link_mentions_scored_sharded(mentions_ds, names_ds, k: int = 4,
     """``link_mentions_scored`` for an entity-name dim too large to collect
     to the driver: the DISTINCT names stay in the object store as block
     shards (``names_ds`` — one globally-distinct ``name`` column), and each
-    linker actor streams mention batches against the shards, merging
-    per-shard top-k into the exact global top-k (same (score desc, label
-    asc) comparator as ``_topk_idx``, so the candidate SET — and therefore
-    every emitted link — is bit-identical to the broadcast variant; pinned
-    by tests).
+    linker task streams its mention batch against the shards, merging
+    per-shard top-k into the exact global top-k, so every emitted link is
+    bit-identical to the broadcast variant (pinned by tests).
 
     Shard embeddings are PRECOMPUTED: one distributed pass embeds each
     name shard exactly once (one remote task per shard — an embed-call
     counter pins this in tests) and ray.puts the normalized (labels, emat)
-    pair, so linker actors only ever FETCH embedded shards from the object
-    store — never re-embed. Before this, shards beyond the LRU budget were
-    re-embedded per mention batch: O(batches × shards) embed calls in
-    exactly the over-budget regime that exists because the corpus is huge.
-    Per-actor heap stays bounded by ``max_cached_shards`` embedded shards
-    (LRU); evicted shards cost a re-FETCH (plasma, zero-copy float64), not
-    a re-embed. At 10^12 rows prefer the IVF/LSH candidate path
-    (similarity.py) when approximate candidates are acceptable."""
-    if embedder_factory is None:
-        embedder_factory = lambda: HashEmbedder(dim=dim)   # noqa: E731
-    if reranker_factory is None:
-        reranker_factory = lambda: CrossEncoderReranker(dim=dim)   # noqa: E731
-
+    pair, so linker tasks only ever FETCH embedded shards from the object
+    store — never re-embed. Per-process heap stays bounded by
+    ``max_cached_shards`` embedded shards (LRU); evicted shards cost a
+    re-FETCH (plasma, zero-copy float64), not a re-embed. At 10^12 rows
+    prefer the IVF/LSH candidate path (similarity.py) when approximate
+    candidates are acceptable."""
+    embedder_factory, reranker_factory = _default_factories(
+        dim, embedder_factory, reranker_factory)
     mat = names_ds.materialize()
     n_names = mat.count()
     if n_names == 0:
-        def nil(batch: pd.DataFrame) -> pd.DataFrame:
-            out = batch.copy()
-            linked = out['name'].notna()
-            out['entity'] = out['name'].where(linked, None)
-            out['link_score'] = np.where(linked, 1.0, 0.0)
-            return out
-        return mentions_ds.map_batches(nil, batch_format='pandas')
-    # block refs only — the driver never holds the names themselves; the
-    # refs are captured in the actor closure (Ray refcounts nested refs)
-    shard_refs = mat.to_pandas_refs()
-    kk = min(k, n_names)
+        return mentions_ds.map_batches(_nil_links, batch_format='pandas')
 
     @ray.remote
     def _embed_shard(df: pd.DataFrame) -> Tuple[np.ndarray, np.ndarray]:
@@ -488,80 +550,12 @@ def link_mentions_scored_sharded(mentions_ds, names_ds, k: int = 4,
             np.linalg.norm(emat, axis=1, keepdims=True), 1e-12)
         return labels, emat
 
-    # ONE embed per shard, cluster-wide; the returned refs live in plasma
-    # and are captured (and refcounted) in the actor closure below
-    embedded_refs = [_embed_shard.remote(r) for r in shard_refs]
-
-    class ShardedScoredLinker:
-        def __init__(self):
-            self.emb = embedder_factory()
-            self.rr = reranker_factory()
-            self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            self._lru: List[int] = []
-
-        def _shard(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-            got = self._cache.get(i)
-            if got is not None:
-                self._lru.remove(i)
-                self._lru.append(i)
-                return got
-            labels, emat = ray.get(embedded_refs[i])
-            if len(self._lru) >= max_cached_shards:
-                self._cache.pop(self._lru.pop(0), None)
-            self._cache[i] = (labels, emat)
-            self._lru.append(i)
-            return labels, emat
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if not len(batch):
-                out = batch.copy()
-                out['entity'] = pd.Series(dtype=object)
-                out['link_score'] = pd.Series(dtype='float64')
-                return out
-            q = self.emb.embed_batch(list(batch['label']))
-            n = len(batch)
-            # running global top-k per mention across shards: merging each
-            # shard's top-k under the same comparator yields exactly the
-            # full-matrix top-k (any global winner wins its shard too)
-            cand_s = [np.empty(0, dtype=np.float64) for _ in range(n)]
-            cand_l = [np.empty(0, dtype=object) for _ in range(n)]
-            need = np.array([x is None or (isinstance(x, float) and np.isnan(x))
-                             for x in batch['name']], dtype=bool)
-            for si in range(len(shard_refs)):
-                labels, emat = self._shard(si)
-                if not len(labels):
-                    continue
-                sims = q @ emat.T
-                ks = min(kk, len(labels))
-                for i in np.where(need)[0]:
-                    idx = _topk_idx(sims[i], labels, ks)
-                    s = np.concatenate([cand_s[i], sims[i][idx]])
-                    l = np.concatenate([cand_l[i], labels[idx]])
-                    keep = np.lexsort((l, -s))[:kk]
-                    cand_s[i], cand_l[i] = s[keep], l[keep]
-            entities: List[Optional[str]] = []
-            scores: List[float] = []
-            for i, (name, label) in enumerate(zip(batch['name'],
-                                                  batch['label'])):
-                if not need[i]:
-                    entities.append(name)
-                    scores.append(1.0)
-                    continue
-                best_e, best_s = None, 0.0
-                for lab in cand_l[i]:
-                    ce = self.rr.score_pair(label or '', str(lab))
-                    if ce > best_s or (ce == best_s and best_e is not None
-                                       and str(lab) < best_e):
-                        best_e, best_s = str(lab), ce
-                entities.append(best_e)
-                scores.append(round(best_s, 6) if best_e is not None else 0.0)
-            batch['entity'] = entities
-            batch['link_score'] = scores
-            return batch
-
-    return mentions_ds.map_batches(ShardedScoredLinker, batch_format='pandas',
-                                   batch_size=AGG_BATCH_SIZE,
-                                   concurrency=_pool_size())
+    # ONE embed per shard, cluster-wide, from block refs only (the driver
+    # never holds the names); the returned refs ride inside the broadcast
+    # state, which keeps them alive (Ray refcounts nested refs)
+    return _link_against_shards(
+        mentions_ds, [_embed_shard.remote(r) for r in mat.to_pandas_refs()],
+        min(k, n_names), embedder_factory, reranker_factory, max_cached_shards)
 
 
 def md_predict_tokens(items_ds, model_weights=None, head=None,

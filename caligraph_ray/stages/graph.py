@@ -483,7 +483,11 @@ def shortest_paths_int(edges_ds, source, rounds: int = 4,
     Frontier tracking rides inside the min-combine: labels carry the
     round that set them, encoded losslessly as ``dist·(rounds+2) + r``
     (r ≤ rounds+1 < the multiplier), so one integer Min aggregate yields
-    both the best distance and whether it is fresh this round."""
+    both the best distance and whether it is fresh this round.
+
+    Weights must be positive: a ``w <= 0`` edge raises ``ValueError``
+    (cost is ``cost_scale // w``: zero would divide by zero and a negative
+    weight would give a negative cost)."""
     import numpy as np
     import ray.data as rd
     from ray.data.aggregate import Min
@@ -493,7 +497,10 @@ def shortest_paths_int(edges_ds, source, rounds: int = 4,
     enc = rounds + 2
 
     def with_cost(df: pd.DataFrame) -> pa.Table:
-        cost = (cost_scale // df['w'].to_numpy(dtype=np.int64))
+        w = df['w'].to_numpy(dtype=np.int64)
+        # -1 marks a non-positive weight (valid costs are >= 0); the driver
+        # raises on it below, where a ValueError reaches the caller unwrapped
+        cost = np.where(w > 0, cost_scale // np.maximum(w, 1), -1)
         return pa.Table.from_pydict(
             {'src': pa.array(df['src'].astype(str), pa.string()),
              'dst': pa.array(df['dst'].astype(str), pa.string()),
@@ -501,6 +508,9 @@ def shortest_paths_int(edges_ds, source, rounds: int = 4,
 
     edges = edges_ds.map_batches(with_cost, batch_format='pandas',
                                  batch_size=AGG_BATCH_SIZE).materialize()
+    min_cost = edges.min('cost') if edges.count() else None
+    if min_cost is not None and min_cost < 0:
+        raise ValueError('shortest_paths_int: edge weights must be positive')
     labels = rd.from_arrow(pa.Table.from_pydict(
         {'node': pa.array([str(source)], pa.string()),
          'key': pa.array([0], pa.int64())}))   # dist 0, set in round 0

@@ -40,21 +40,6 @@ def add_subject_bucket(batch: pa.Table, n_buckets: int = OUTPUT_PARTITIONS) -> p
     return batch.append_column('subj_bucket', pa.array(bucket, pa.int32()))
 
 
-def dedup_triples(triples_ds):
-    """Exact distinct over (subj, pred, obj, is_literal): in-batch pre-dedup
-    combiner, then coarse-bucket hash shuffle + vectorized drop_duplicates
-    (SURVEY.md D1) — already-unique rows travel the shuffle exactly once."""
-    from .relational import bucketed_map
-    keys = ['subj', 'pred', 'obj', 'is_literal']
-
-    def batch_dedup(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(keys).aggregate([([], 'count_all')])
-        return g.drop_columns(['count_all'])
-
-    pre = triples_ds.map_batches(batch_dedup, batch_format='pyarrow', batch_size=None)
-    return bucketed_map(pre, keys, lambda b: b.drop_duplicates(subset=keys))
-
-
 def materialize_triples(triples_ds, out_dir: Optional[str] = None,
                         n_buckets: int = OUTPUT_PARTITIONS, sort: bool = True):
     """Dedup → hash-partition by subj → per-partition sort (subj, pred, obj)

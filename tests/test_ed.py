@@ -167,3 +167,12 @@ def test_sharded_linker_embeds_each_shard_once(ray_session):
     for n in names:
         expect = 1 + sum(1 for l in mentions['label'] if l == n)
         assert c[n] == expect, (n, c[n], expect)
+
+
+def test_pool_size_bounded_by_cluster_cpus(ray_session):
+    """Default actor pools ask for at most one one-CPU actor per cluster
+    CPU (it used to ask for at least 8, more than a 4-CPU cluster has)."""
+    import ray
+
+    from caligraph_ray.stages.ed import _pool_size
+    assert _pool_size() == (1, int(ray.cluster_resources()['CPU']))

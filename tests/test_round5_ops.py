@@ -323,6 +323,20 @@ def test_hdr_quantiles_partition_invariant_and_near_exact(ray_session):
         assert lb <= exact <= lb + max(lb // 8, 1)
 
 
+def test_hdr_quantiles_empty_dataset(ray_session):
+    """An empty input has no quantiles: n=0 and every lower bound null
+    (it used to index an empty histogram)."""
+    from caligraph_ray.functions.sketches import hdr_quantiles
+    empty = ray.data.from_pandas(
+        pd.DataFrame({'c': np.array([], dtype=np.int64)}))
+    out = hdr_quantiles(empty, 'c')
+    assert len(out) == 1
+    row = out.iloc[0]
+    assert int(row['n']) == 0
+    for col in ('p50_lb', 'p90_lb', 'p99_lb'):
+        assert pd.isna(row[col]), (col, row[col])
+
+
 def test_hdr_grouped_quantiles_matches_global_per_group(ray_session):
     from caligraph_ray.functions.sketches import (hdr_grouped_quantiles,
                                                   hdr_quantiles)

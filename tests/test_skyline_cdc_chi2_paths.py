@@ -124,6 +124,18 @@ def test_shortest_paths_round_bound(ray_session):
     assert nodes == {'A', 'B', 'C'}
 
 
+def test_shortest_paths_rejects_non_positive_weights(ray_session):
+    """Cost is cost_scale // w, so weights must be positive: a zero weight
+    used to divide by zero and a negative one gave a negative cost."""
+    import pytest
+    for bad in (0, -5):
+        edges = pd.DataFrame({'src': ['A', 'B'], 'dst': ['B', 'C'],
+                              'w': [10, bad]})
+        with pytest.raises(ValueError, match='positive'):
+            rel.collect_pandas(shortest_paths_int(
+                ray.data.from_pandas(edges), 'A', rounds=2))
+
+
 def test_hits_star_graph_hubs_vs_authorities(ray_session):
     from caligraph_ray.stages.graph import hits_int
     # star: H points at A1..A3; A's point at nothing else.

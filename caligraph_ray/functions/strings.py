@@ -79,10 +79,6 @@ def regularize_spaces(text: str) -> str:
     return ' '.join(text.split())
 
 
-def normalize_separators(text: str) -> str:
-    return text.replace('-', '_')
-
-
 def make_alphanumeric(text: str) -> str:
     """Strip non-alphanumerics; keep original if result ≤ 2 chars (reference string.py:32-34)."""
     text_alphanum = _NON_ALNUM_RE.sub('', text)

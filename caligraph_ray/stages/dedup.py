@@ -94,8 +94,7 @@ def _candidate_pairs_from_buckets(sig_ds, id_col: str, band_fn, verify_fn,
     is logged with bucket key and the dropped-member count (the repo's
     no-silent-caps rule)."""
     import logging
-    from .relational import (SMALL_EXCHANGE_BYTES, _small_hash_exchange,
-                             bucketed_map, default_coarse)
+    from .relational import bucket_exchange, bucketed_map, default_coarse
     coarse = default_coarse()
 
     def explode(batch: pd.DataFrame) -> pa.Table:
@@ -141,8 +140,6 @@ def _candidate_pairs_from_buckets(sig_ds, id_col: str, band_fn, verify_fn,
         # almost every LSH bucket is a singleton — drop those VECTORIZED
         # before the per-group Python loop (a per-group call on tens of
         # thousands of 1-row groups costs more than the real pair work)
-        if '_coarse' in coarse_g.columns:
-            coarse_g = coarse_g.drop(columns=['_coarse'])
         dedup = coarse_g.drop_duplicates(subset=['bucket', id_col])
         sizes = dedup['bucket'].map(dedup['bucket'].value_counts())
         hot = dedup[sizes.to_numpy() >= 2]
@@ -155,16 +152,11 @@ def _candidate_pairs_from_buckets(sig_ds, id_col: str, band_fn, verify_fn,
         return pd.concat(outs, ignore_index=True)
 
     # the exchange: _coarse is already on the rows (computed arrow-side in
-    # explode), so both the small broadcast exchange and the large sort
-    # shuffle skip the pandas re-keying pass entirely
-    mat = sig_ds.map_batches(explode, batch_format='pandas',
-                             batch_size=AGG_BATCH_SIZE).materialize()
-    size = mat.size_bytes() or 0
-    if size <= SMALL_EXCHANGE_BYTES:
-        found = _small_hash_exchange(mat, pairs_bucket, coarse)
-    else:
-        found = mat.groupby('_coarse').map_groups(pairs_bucket,
-                                                  batch_format='pandas')
+    # explode), so the exchange skips the pandas re-keying pass entirely
+    found = bucket_exchange(
+        sig_ds.map_batches(explode, batch_format='pandas',
+                           batch_size=AGG_BATCH_SIZE),
+        pairs_bucket, coarse=coarse)
     # cross-band duplicates of the same pair → keep one (coarse bucketed dedup)
     return bucketed_map(found, ['a', 'b'],
                         lambda b: b.drop_duplicates(subset=['a', 'b']))

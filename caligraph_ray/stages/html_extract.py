@@ -468,13 +468,6 @@ PARSED_SCHEMA = pa.schema(list(ITEMS_SCHEMA) + [('kind', pa.string()),
                                                 ('cat_name', pa.string())])
 
 
-def extract_text_batch(batch: pa.Table) -> pa.Table:
-    """map_batches fn: html → extracted_text column appended (pyarrow in/out)."""
-    html_col = batch.column('html').to_pylist()
-    texts = pa.array([extract_text(h) for h in html_col], type=pa.string())
-    return batch.append_column('extracted_text', texts)
-
-
 class ParseTimeout(Exception):
     """A single page exceeded the per-row parse time budget."""
 
@@ -645,8 +638,3 @@ def parse_items(pages_ds, concurrency: Optional[int] = None):
     item projection; pipelines that need items AND categories should call
     parse_pages once and use both views)."""
     return items_view(parse_pages(pages_ds, concurrency))
-
-
-def parse_categories(pages_ds, concurrency: Optional[int] = None):
-    """pages Dataset → (url, page_id, cat_name) rows (compat wrapper)."""
-    return cats_view(parse_pages(pages_ds, concurrency))

@@ -9,6 +9,13 @@ These back the reference's pandas-merge / Counter / most_common idioms
   (bounds all-to-all volume by #batches × per-batch key cardinality, the
   skew answer for head keys)
 * per-group top-k / argmax / mode via keyed shuffles
+
+Every keyed shuffle runs on ONE exchange, ``bucket_exchange``. Its
+contract: the caller's keying stage puts an int32 ``_coarse`` column on
+each block; blocks keep the format (Arrow or pandas) that stage emitted;
+and ``bucket_fn`` gets each coarse bucket in the ``batch_format`` it asked
+for (pandas via ``_to_plain_pandas``, or ``pa.Table``). ``bucketed_map``
+is a hash-keying map stage plus that exchange.
 """
 
 from __future__ import annotations
@@ -164,9 +171,12 @@ def collect_blocks(ds) -> List[pd.DataFrame]:
     Driver-side collection: callers own the small-result contract."""
     mat = ds if hasattr(ds, 'iter_internal_ref_bundles') and \
         type(ds).__name__ == 'MaterializedDataset' else ds.materialize()
-    refs = [b for bundle in mat.iter_internal_ref_bundles()
+    return [_to_plain_pandas(blk) for blk in ray.get(_block_refs(mat))]
+
+
+def _block_refs(mat_ds) -> list:
+    return [b for bundle in mat_ds.iter_internal_ref_bundles()
             for b in bundle.block_refs]
-    return [_to_plain_pandas(blk) for blk in ray.get(refs)]
 
 
 def collect_pandas(ds) -> pd.DataFrame:
@@ -329,49 +339,67 @@ def _to_plain_pandas(block) -> pd.DataFrame:
     return df
 
 
-def _small_hash_exchange(mat_ds, bucket_fn, coarse: int):
-    """Broadcast exchange over a materialized dataset that already carries an
-    int32 ``_coarse`` column: each reducer scans every block but filters
-    ARROW-side on the precomputed key before any pandas conversion, so the
-    expensive arrow→pandas work totals exactly one pass over the data across
-    all reducers (plus one cheap int-column scan per block per reducer)."""
+def _part_rows(block, part_id: int, n_parts: int):
+    """Rows of one exchange block whose ``_coarse % n_parts == part_id``,
+    still in the block's own format (Arrow or pandas): the filter runs on
+    the int key before any conversion. None when no row qualifies."""
+    arrow = isinstance(block, pa.Table)
+    if not len(block) or '_coarse' not in (
+            block.column_names if arrow else block.columns):
+        return None   # schema-less empty block (e.g. empty upstream)
+    mask = block['_coarse'].to_numpy() % n_parts == part_id
+    if not mask.any():
+        return None
+    return block.filter(pa.array(mask)) if arrow else block[mask]
+
+
+def _in_format(block, batch_format: str):
+    """An exchange block (Arrow or pandas) in the format a bucket fn asked
+    for: pandas via ``_to_plain_pandas``, or ``pa.Table``."""
+    if batch_format == 'pandas':
+        return _to_plain_pandas(block)
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
+
+
+def _without_coarse(bucket):
+    if isinstance(bucket, pa.Table):
+        return bucket.drop_columns(['_coarse'])
+    return bucket.drop(columns=['_coarse'])
+
+
+def _small_exchange(mat_ds, bucket_fn, coarse: int, batch_format: str):
+    """Broadcast exchange for inputs under the gate: R reducer tasks each
+    read every block (zero-copy plasma reads for Arrow blocks), keep their
+    own hash range by filtering on ``_coarse`` before any conversion — so
+    the format conversion totals one pass over the data across all
+    reducers — and hand each coarse bucket to ``bucket_fn``."""
     import ray.data as rd
-    block_refs = [b for bundle in mat_ds.iter_internal_ref_bundles()
-                  for b in bundle.block_refs]
+    block_refs = _block_refs(mat_ds)
     # reducers scale with input size (~8 MiB of input per reducer, one per
     # core at the 128 MiB gate), capped by bucket count: every reducer reads
-    # every block (zero-copy plasma arrow reads) and keeps only its hash
-    # range, so over-provisioned reducers multiply total block fetches —
-    # at kilobyte scale ONE reducer reading each block once is optimal
+    # every block and keeps only its hash range, so over-provisioned
+    # reducers multiply total block fetches — at kilobyte scale ONE reducer
+    # reading each block once is optimal
     size = mat_ds.size_bytes() or 0
     n_parts = max(1, min(default_coarse() // 4, coarse,
                          1 + size // (8 * 1024 * 1024)))
 
     @ray.remote
     def reduce_part(part_id: int, *blocks) -> pd.DataFrame:
-        dfs = []
-        for b in blocks:
-            if isinstance(b, pa.Table):
-                if b.num_rows == 0:
-                    continue
-                ck = np.asarray(b.column('_coarse').combine_chunks())
-                mask = (ck % n_parts) == part_id
-                if not mask.any():
-                    continue
-                d = _to_plain_pandas(b.filter(pa.array(mask)))
-            else:
-                d = _to_plain_pandas(b)
-                if '_coarse' not in d.columns:
-                    continue   # schema-less empty block (e.g. empty result)
-                d = d[d['_coarse'].to_numpy() % n_parts == part_id]
-            if len(d):
-                dfs.append(d)
-        if not dfs:
+        rows = [_part_rows(b, part_id, n_parts) for b in blocks]
+        pieces = [_in_format(r, batch_format) for r in rows if r is not None]
+        if not pieces:
             return pd.DataFrame()
-        df = pd.concat(dfs, ignore_index=True)
+        t = pd.concat(pieces, ignore_index=True) if batch_format == 'pandas' \
+            else pa.concat_tables(pieces, promote_options='default')
+        ck = t['_coarse'].to_numpy()
         outs = []
-        for _, g in df.groupby('_coarse', sort=False):
-            r = bucket_fn(g.drop(columns=['_coarse']))
+        for cv in pd.unique(ck):   # buckets in order of first appearance
+            sel = ck == cv
+            r = bucket_fn(_without_coarse(
+                t[sel] if batch_format == 'pandas' else t.filter(pa.array(sel))))
             if r is not None and len(r):
                 outs.append(r)
         if not outs:
@@ -382,91 +410,46 @@ def _small_hash_exchange(mat_ds, bucket_fn, coarse: int):
     return rd.from_pandas_refs(refs)
 
 
-def _small_arrow_exchange(mat_ds, bucket_fn, coarse: int):
-    """Arrow-native twin of ``_small_hash_exchange``: blocks already carry
-    ``_coarse`` and STAY Arrow through the exchange; ``bucket_fn`` receives
-    the ``pa.Table`` of one coarse bucket (minus the key column)."""
-    import ray.data as rd
-    block_refs = [b for bundle in mat_ds.iter_internal_ref_bundles()
-                  for b in bundle.block_refs]
-    size = mat_ds.size_bytes() or 0
-    n_parts = max(1, min(default_coarse() // 4, coarse,
-                         1 + size // (8 * 1024 * 1024)))
-
-    @ray.remote
-    def reduce_part(part_id: int, *blocks) -> pd.DataFrame:
-        tabs = []
-        for b in blocks:
-            if not isinstance(b, pa.Table):
-                if not len(b) or '_coarse' not in b.columns:
-                    continue
-                b = pa.Table.from_pandas(b, preserve_index=False)
-            if b.num_rows == 0:
-                continue
-            ck = np.asarray(b.column('_coarse').combine_chunks())
-            mask = (ck % n_parts) == part_id
-            if not mask.any():
-                continue
-            tabs.append(b.filter(pa.array(mask)))
-        if not tabs:
-            return pd.DataFrame()
-        t = pa.concat_tables(tabs, promote_options='default')
-        ck = np.asarray(t.column('_coarse').combine_chunks())
-        outs = []
-        for cv in np.unique(ck):
-            sub = t.filter(pa.array(ck == cv)).drop_columns(['_coarse'])
-            r = bucket_fn(sub)
-            if r is not None and len(r):
-                outs.append(r)
-        if not outs:
-            return pd.DataFrame()
-        return pd.concat(outs, ignore_index=True)
-
-    refs = [reduce_part.remote(i, *block_refs) for i in range(n_parts)]
-    return rd.from_pandas_refs(refs)
-
-
-def bucketed_map_arrow(ds, bucket_fn, coarse: Optional[int] = None):
-    """Exchange for Datasets whose blocks ALREADY carry an int32 ``_coarse``
-    column as Arrow tables (typed null padding instead of object columns).
-    Same size-gated small/large paths as ``bucketed_map``, but blocks stay
-    Arrow end-to-end and ``bucket_fn`` receives the ``pa.Table`` of one
-    coarse bucket. Splitting sides/columns BEFORE converting to pandas keeps
-    null-free int64 columns exact — the null-padded values that would demote
-    to float64 are dropped arrow-side (see stages/temporal)."""
+def bucket_exchange(ds, bucket_fn, coarse: Optional[int] = None,
+                    batch_format: str = 'pandas'):
+    """The one keyed exchange: ``ds``'s blocks already carry an int32
+    ``_coarse`` column (computed by the caller's keying stage) and may be
+    Arrow or pandas — each block keeps the format its keying stage
+    emitted. ``bucket_fn`` receives every coarse bucket, minus ``_coarse``,
+    in ``batch_format`` (``'pandas'`` or ``'pyarrow'``) and returns a
+    DataFrame (or None). Splitting a tagged Arrow union into sides before
+    any pandas conversion keeps null-padded int64 columns exact (see
+    ``shuffle_join``, ``stages/temporal``). Regimes: see
+    ``SMALL_EXCHANGE_BYTES``."""
     if coarse is None:
         coarse = default_coarse()
     mat = ds.materialize()
-    size = mat.size_bytes() or 0
-    if size <= SMALL_EXCHANGE_BYTES:
-        return _small_arrow_exchange(mat, bucket_fn, coarse)
+    if (mat.size_bytes() or 0) <= SMALL_EXCHANGE_BYTES:
+        return _small_exchange(mat, bucket_fn, coarse, batch_format)
 
-    def per_group(t: pa.Table):
-        if '_coarse' in t.column_names:
-            t = t.drop_columns(['_coarse'])
-        return bucket_fn(t)
+    # Ray's sort cannot sample a mix of Arrow and pandas blocks: a mixed
+    # input is converted to batch_format first, a uniform one is not
+    @ray.remote
+    def is_arrow(block) -> bool:
+        return isinstance(block, pa.Table)
 
-    return mat.groupby('_coarse').map_groups(per_group, batch_format='pyarrow')
+    if len(set(ray.get([is_arrow.remote(b) for b in _block_refs(mat)]))) > 1:
+        mat = mat.map_batches(lambda b: _in_format(b, batch_format),
+                              batch_format=None, batch_size=None)
+    return mat.groupby('_coarse').map_groups(
+        lambda g: bucket_fn(_without_coarse(g)), batch_format=batch_format)
 
 
-def bucketed_map(ds, keys: Sequence[str], bucket_fn, coarse: Optional[int] = None,
-                 arrow_blocks: bool = True):
+def bucketed_map(ds, keys: Sequence[str], bucket_fn, coarse: Optional[int] = None):
     """Shuffle rows once on hash(keys)%coarse and apply ``bucket_fn`` to each
     coarse bucket (a DataFrame containing complete groups). The bucket fn
     should use *vectorized* pandas groupby ops — this is the fast path for
     high-cardinality keys where per-group Python calls dominate.
 
     The coarse key is computed ONCE in a map stage fused into the
-    pre-barrier execution. Small inputs (≤ SMALL_EXCHANGE_BYTES after the
-    barrier) take a broadcast exchange (parallel reducers over the block
-    refs, arrow-side key filtering) instead of the sort-based all-to-all,
-    whose fixed setup cost dominates sub-second workloads; large inputs use
-    the real shuffle.
-
-    ``arrow_blocks=False`` keeps the exchange blocks pandas (pickled —
-    exact python values, no arrow round trip): required when object columns
-    carry nullable int64 payloads, which arrow→pandas would demote to
-    float64 and corrupt above 2^53."""
+    pre-barrier execution, which emits Arrow blocks (reducers filter them
+    on the int key zero-copy) unless a batch carries nested values, and
+    then ``bucket_exchange`` moves the rows."""
     keys = list(keys)
     if coarse is None:
         coarse = default_coarse()
@@ -476,10 +459,6 @@ def bucketed_map(ds, keys: Sequence[str], bucket_fn, coarse: Optional[int] = Non
             return batch   # schema-less empty block from an empty upstream
         batch = batch.copy()
         batch['_coarse'] = _coarse_key(batch, keys, coarse)
-        if not arrow_blocks:
-            return batch
-        # emit ARROW so the exchange blocks are arrow tables: reducers can
-        # then filter on the int key zero-copy before any pandas conversion.
         # Nested (list-valued) object columns stay pandas: an arrow round
         # trip would hand list values back as ragged ndarrays, which
         # downstream pandas-block concat refuses to cast
@@ -491,19 +470,12 @@ def bucketed_map(ds, keys: Sequence[str], bucket_fn, coarse: Optional[int] = Non
                     return batch
         try:
             return pa.Table.from_pandas(batch, preserve_index=False)
-        except (pa.ArrowInvalid, pa.ArrowTypeError):
-            return batch
+        except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError):
+            return batch   # e.g. Python ints past int64 stay exact
 
-    mat = ds.map_batches(add_bucket, batch_format='pandas',
-                         batch_size=AGG_BATCH_SIZE).materialize()
-    size = mat.size_bytes() or 0
-    if size <= SMALL_EXCHANGE_BYTES:
-        return _small_hash_exchange(mat, bucket_fn, coarse)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return bucket_fn(g.drop(columns=['_coarse']))
-
-    return mat.groupby('_coarse').map_groups(per_bucket, batch_format='pandas')
+    keyed = ds.map_batches(add_bucket, batch_format='pandas',
+                           batch_size=AGG_BATCH_SIZE)
+    return bucket_exchange(keyed, bucket_fn, coarse=coarse)
 
 
 def _nul_escape(v):
@@ -648,6 +620,10 @@ def shuffle_join(left_ds, right_ds, left_on: str, right_on: str,
     def _pa_type_or_none(t):
         if isinstance(t, pa.DataType):
             return t
+        if t is None:
+            # Ray reports pandas extension columns (nullable Int64) as
+            # None; np.dtype(None) would read it as float64
+            return None
         try:
             return pa.from_numpy_dtype(np.dtype(t))
         except Exception:
@@ -753,64 +729,51 @@ def shuffle_join(left_ds, right_ds, left_on: str, right_on: str,
                                    batch_size=AGG_BATCH_SIZE)
     right_ds = rmat
 
-    if arrow_ok:
-        # ARROW path: typed null padding travels the exchange (int64 stays
-        # int64 end-to-end); sides are split arrow-side per bucket, so the
-        # padded values never reach pandas and nothing demotes to float64
-        def tag_arrow(side: str, key_col: str, own):
-            def fn(batch: pd.DataFrame) -> pa.Table:
-                n = len(batch)
+    # ARROW blocks when every column type is known: typed null padding
+    # travels the exchange (int64 stays int64 end-to-end) and the sides are
+    # split arrow-side per bucket, so the padded values never reach pandas
+    # and nothing demotes to float64. Otherwise (object columns / mismatched
+    # types) PANDAS blocks, keyed on canonical strings, keep exact python
+    # values — a slower exchange that never demotes.
+    def tag(side: str, key_col: str, own):
+        def fn(batch: pd.DataFrame):
+            # the arrow path hashes the RAW key: pre-stringifying would
+            # reintroduce the '1' vs '1.0' dtype flip _col_hash prevents
+            key = batch[key_col] if arrow_ok else _canon_key_str(batch[key_col])
+            ck = _coarse_key(pd.DataFrame({'_k': key}), ['_k'], coarse)
+            if arrow_ok:
                 names, cols = pad_to_union(batch, all_cols, types, own)
-                # hash the RAW key: pre-stringifying would reintroduce the
-                # '1' vs '1.0' dtype flip _col_hash exists to prevent
-                ck = _coarse_key(pd.DataFrame(
-                    {'_k': batch[key_col]}), ['_k'], coarse)
-                names += ['_side', '_coarse']
-                cols += [pa.nulls(n, pa.string()).fill_null(side),
-                         pa.array(ck, type=pa.int32())]
-                return pa.Table.from_arrays(cols, names=names)
-            return fn
-
-        tagged = left_ds.map_batches(
-            tag_arrow('l', left_on, set(lcols)), batch_format='pandas',
-            batch_size=AGG_BATCH_SIZE).union(
-            right_ds.map_batches(
-                tag_arrow('r', right_on, set(rcols)), batch_format='pandas',
-                batch_size=AGG_BATCH_SIZE))
-
-        def merge_bucket_arrow(t: pa.Table) -> pd.DataFrame:
-            import pyarrow.compute as pc
-            mask = pc.equal(t.column('_side'), 'l')
-            l = t.filter(mask).select(lcols).to_pandas()
-            r = t.filter(pc.invert(mask)).select(rcols).to_pandas()
-            return merge_sides(l, r)
-
-        return bucketed_map_arrow(tagged, merge_bucket_arrow, coarse=coarse)
-
-    # PANDAS fallback (object columns / mismatched types): pickled pandas
-    # blocks keep exact python values — slower exchange, never demotes
-    def tag(side: str, key_col: str):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
+                return pa.Table.from_arrays(
+                    cols + [pa.nulls(len(batch), pa.string()).fill_null(side),
+                            pa.array(ck, type=pa.int32())],
+                    names=names + ['_side', '_coarse'])
             out = batch.copy()
             for c in all_cols:
                 if c not in out.columns:
                     out[c] = None
             out['_side'] = side
-            out['_jk'] = _canon_key_str(batch[key_col])
-            return out[all_cols + ['_side', '_jk']]
+            out['_coarse'] = ck
+            return out[all_cols + ['_side', '_coarse']]
         return fn
 
-    tagged = left_ds.map_batches(tag('l', left_on), batch_format='pandas',
-                                 batch_size=AGG_BATCH_SIZE).union(
-        right_ds.map_batches(tag('r', right_on), batch_format='pandas',
-                             batch_size=AGG_BATCH_SIZE))
+    tagged = left_ds.map_batches(
+        tag('l', left_on, set(lcols)), batch_format='pandas',
+        batch_size=AGG_BATCH_SIZE).union(
+        right_ds.map_batches(
+            tag('r', right_on, set(rcols)), batch_format='pandas',
+            batch_size=AGG_BATCH_SIZE))
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return merge_sides(g[g['_side'] == 'l'][lcols],
-                           g[g['_side'] == 'r'][rcols])
+    def merge_bucket(t) -> pd.DataFrame:
+        if arrow_ok:
+            import pyarrow.compute as pc
+            mask = pc.equal(t.column('_side'), 'l')
+            return merge_sides(t.filter(mask).select(lcols).to_pandas(),
+                               t.filter(pc.invert(mask)).select(rcols).to_pandas())
+        left = t['_side'] == 'l'
+        return merge_sides(t[left][lcols], t[~left][rcols])
 
-    return bucketed_map(tagged, ['_jk'], merge_bucket, coarse=coarse,
-                        arrow_blocks=False)
+    return bucket_exchange(tagged, merge_bucket, coarse=coarse,
+                           batch_format='pyarrow' if arrow_ok else 'pandas')
 
 
 _AGG_COMBINE = {'sum': 'sum', 'count': 'sum', 'max': 'max', 'min': 'min'}
@@ -1447,6 +1410,9 @@ def column_profile(ds, columns: Sequence[str]):
                 '_nulls': int(s.isna().sum()),
                 '_min': str(nn.min()) if len(nn) else None,
                 '_max': str(nn.max()) if len(nn) else None,
+                # the source dtype decides how the renderings combine
+                '_numeric': pd.api.types.is_numeric_dtype(s)
+                and not pd.api.types.is_bool_dtype(s),
             })
         return pd.DataFrame(rows)
 
@@ -1463,17 +1429,19 @@ def column_profile(ds, columns: Sequence[str]):
         mins = g['_min'].dropna()
         maxs = g['_max'].dropna()
         # string min/max over the per-batch string renderings is only
-        # valid when string order == value order; for numerics compare
-        # the parsed values instead
+        # valid when string order == value order; for numeric columns
+        # compare the parsed values instead (a VARCHAR of digit strings
+        # stays lexicographic, as in SQL)
+        numeric = bool(g.loc[g['_min'].notna(), '_numeric'].all())
+
         def _best(series, fn):
             if not len(series):
                 return None
-            try:
-                vals = [float(v) for v in series]
-                return str(series.iloc[int(np.argmax(vals))]) \
-                    if fn is max else str(series.iloc[int(np.argmin(vals))])
-            except ValueError:
+            if not numeric:
                 return fn(series)
+            vals = [float(v) for v in series]
+            return str(series.iloc[int(np.argmax(vals))]) \
+                if fn is max else str(series.iloc[int(np.argmin(vals))])
         # re-render numeric min/max without a trailing '.0' mismatch:
         # keep the per-batch rendering verbatim (both sides str() the
         # same scalar type)
@@ -1538,9 +1506,11 @@ def grouped_corr(ds, key: str, x_col: str, y_col: str, scale: int = 1000,
     bit-for-bit. Emitted floor-scaled to 6dp; groups with zero variance
     on either axis are dropped (SQL ``HAVING`` — corr undefined)."""
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
+        # object arrays of Python ints: x², xy, y² and their per-batch
+        # group sums pass 2^63 once |x| or |y| passes ~3e9
         x = np.floor(batch[x_col].to_numpy(dtype=np.float64)
-                     * scale).astype(np.int64)
-        y = batch[y_col].to_numpy(dtype=np.int64)
+                     * scale).astype(np.int64).astype(object)
+        y = batch[y_col].to_numpy(dtype=np.int64).astype(object)
         g = pd.DataFrame({key: batch[key].to_numpy(),
                           '_n': np.ones(len(batch), dtype=np.int64),
                           '_sx': x, '_sxx': x * x,

@@ -476,14 +476,6 @@ def build_hierarchy(edges_ds, child_col: str = 'child', parent_col: str = 'paren
     return h
 
 
-def taxonomy_edge_table(h: Hierarchy, include_root: bool = False) -> pa.Table:
-    edges = [(p, c) for p, c in h.edges() if include_root or p != ROOT]
-    return pa.Table.from_pydict({
-        'parent': pa.array([e[0] for e in edges], pa.string()),
-        'child': pa.array([e[1] for e in edges], pa.string()),
-    })
-
-
 def subclass_triples(h: Hierarchy):
     """Hierarchy → (child, rdfs:subClassOf, parent) triples Dataset."""
     import ray.data as rd

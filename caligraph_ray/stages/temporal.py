@@ -64,11 +64,11 @@ def _tagged_union(left_ds, right_ds, key_left: str, key_right: str,
     """Project both sides onto a shared ARROW schema with a ``_side`` tag,
     the equality key as ``_k``, the (int64) order column as ``_ts`` and the
     exchange key precomputed as ``_coarse`` — one Dataset that travels one
-    ``bucketed_map_arrow`` exchange. The other side's payload columns are
-    TYPED null padding (pa.nulls), never object columns: int64 stays int64
-    through the exchange, and the bucket fn drops the padded values
-    arrow-side before any pandas conversion, so nothing ever demotes to
-    float64 (exactness above 2^53 preserved)."""
+    ``bucket_exchange(batch_format='pyarrow')``. The other side's payload
+    columns are TYPED null padding (pa.nulls), never object columns: int64
+    stays int64 through the exchange, and the bucket fn drops the padded
+    values arrow-side before any pandas conversion, so nothing ever demotes
+    to float64 (exactness above 2^53 preserved)."""
     from .relational import _coarse_key
 
     def _pa_type(t):
@@ -226,7 +226,7 @@ def asof_join(left_ds, right_ds, key_left: str, key_right: str,
     without a match (ASOF LEFT JOIN when False). Match/no-match is decided
     by an internal marker, not by payload nullness — a matched right row
     with NULL payload columns survives an inner join, as in SQL."""
-    from .relational import bucketed_map_arrow, default_coarse
+    from .relational import bucket_exchange, default_coarse
     lcols = list(left_ds.schema().names)
     rkeep = [c for c in right_cols]
     coarse = default_coarse()
@@ -282,7 +282,8 @@ def asof_join(left_ds, right_ds, key_left: str, key_right: str,
             out = pd.concat([out, pad], ignore_index=True)
         return out
 
-    return bucketed_map_arrow(tagged, merge, coarse=coarse)
+    return bucket_exchange(tagged, merge, coarse=coarse,
+                           batch_format='pyarrow')
 
 
 def range_join(left_ds, right_ds, key_left: str, key_right: str,
@@ -293,7 +294,7 @@ def range_join(left_ds, right_ds, key_left: str, key_right: str,
     ``low_us ≤ ts_left − ts_right < high_us`` (timestamps in micros).
     One co-partitioning exchange, then a per-bucket vectorized equi-merge +
     interval mask."""
-    from .relational import bucketed_map_arrow, default_coarse
+    from .relational import bucket_exchange, default_coarse
     lcols = list(left_ds.schema().names)
     rkeep = [c for c in right_cols]
     coarse = default_coarse()
@@ -314,7 +315,8 @@ def range_join(left_ds, right_ds, key_left: str, key_right: str,
         mask = (delta >= low_us) & (delta < high_us)
         return merged.loc[mask, lcols + rkeep]
 
-    return bucketed_map_arrow(tagged, merge, coarse=coarse)
+    return bucket_exchange(tagged, merge, coarse=coarse,
+                           batch_format='pyarrow')
 
 
 def sessionize(events_ds, key_col: str = 'user_id', ts_col: str = 'ts',

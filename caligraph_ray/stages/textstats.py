@@ -1065,8 +1065,7 @@ def packed_sequences(docs_ds, capacity: int = 512, id_col: str = 'doc_id',
     from ray.data.aggregate import Max
 
     from ..state.broadcast import get_broadcast
-    from .relational import (bucketed_map_arrow, collect_pandas,
-                             default_coarse)
+    from .relational import bucket_exchange, collect_pandas, default_coarse
 
     if coarse is None:
         coarse = default_coarse()
@@ -1142,7 +1141,7 @@ def packed_sequences(docs_ds, capacity: int = 512, id_col: str = 'doc_id',
             'last_seq': ((tok_offset + ns - 1) // capacity).astype('int64'),
         })
 
-    return bucketed_map_arrow(bucketed, pack, coarse=coarse)
+    return bucket_exchange(bucketed, pack, coarse=coarse, batch_format='pyarrow')
 
 
 #: distinct-host rows above which host_quality_docs stops broadcasting the

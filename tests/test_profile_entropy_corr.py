@@ -40,6 +40,17 @@ def test_column_profile_multiblock_min_max(ray_session):
     assert r['n_distinct'] == 100 and r['n_nulls'] == 0
 
 
+def test_column_profile_varchar_min_max_is_lexicographic(ray_session,
+                                                         monkeypatch):
+    # digit strings in a VARCHAR column order as strings (DuckDB:
+    # min('9', '10') = '10'), even when each batch holds one of them
+    monkeypatch.setattr(rel, 'AGG_BATCH_SIZE', 1)
+    ds = ray.data.from_pandas([pd.DataFrame({'s': ['9']}),
+                               pd.DataFrame({'s': ['10']})])
+    r = rel.column_profile(ds, ['s']).iloc[0]
+    assert r['min_str'] == '10' and r['max_str'] == '9'
+
+
 def test_grouped_entropy_matches_numpy(ray_session):
     rng = np.random.RandomState(7)
     df = pd.DataFrame({'g': rng.randint(0, 20, 4000),
@@ -94,6 +105,36 @@ def test_grouped_corr_drops_zero_variance_groups(ray_session):
         rel.grouped_corr(ray.data.from_pandas(df), 'g', 'x', 'y'))
     # group 'c' has zero x-variance -> dropped (corr undefined)
     assert list(out['g']) == ['v']
+
+
+def test_grouped_corr_moments_exact_past_int64(ray_session):
+    # x·scale ≈ 5e9..8e9: x², and the per-batch sums of xy/x², overflow
+    # int64; the moments must be exact Python ints as documented
+    rng = np.random.RandomState(5)
+    n = 200
+    df = pd.DataFrame({'g': rng.randint(0, 2, n),
+                       'x': rng.randint(5_000_000, 8_000_000, n)
+                       .astype(np.float64),
+                       'y': rng.randint(-3_000_000_000, 3_000_000_000, n)})
+    df.loc[df['g'] == 0, 'y'] = df.loc[df['g'] == 0, 'x'].astype(np.int64) \
+        * 1000 + rng.randint(-10**8, 10**8, int((df['g'] == 0).sum()))
+    ds = ray.data.from_pandas(df).repartition(3)
+    out = rel.collect_pandas(
+        rel.grouped_corr(ds, 'g', 'x', 'y')).set_index('g')
+    for g, sub in df.groupby('g'):
+        xs = [math.floor(v * 1000) for v in sub['x']]
+        ys = [int(v) for v in sub['y']]
+        m = len(xs)
+        sx, sy = sum(xs), sum(ys)
+        sxx = sum(v * v for v in xs)
+        syy = sum(v * v for v in ys)
+        sxy = sum(a * b for a, b in zip(xs, ys))
+        vx, vy = m * sxx - sx * sx, m * syy - sy * sy
+        want = math.floor(float(m * sxy - sx * sy)
+                          / math.sqrt(float(vx * vy)) * 1e6) / 1e6
+        assert out.loc[g, 'n'] == m
+        assert out.loc[g, 'corr'] == want
+    assert out.loc[0, 'corr'] > 0.9
 
 
 def test_hll_overlap_estimate_accuracy(ray_session):

@@ -1,6 +1,6 @@
 """Two coverage gaps the other property modules can't reach:
 
-1. The LARGE exchange path. ``bucketed_map``/``bucketed_map_arrow`` gate on
+1. The LARGE exchange path. ``bucketed_map``/``bucket_exchange`` gate on
    ``SMALL_EXCHANGE_BYTES``: every small test input takes the broadcast
    exchange, so the sort-based ``groupby('_coarse').map_groups`` path — the
    ONLY shape that holds at 100 TB — would otherwise ship untested against

@@ -385,17 +385,49 @@ def test_bucketed_map_small_and_large_paths_agree(ray_session, rd, monkeypatch):
         g = bucket.groupby('k', sort=False)['v'].sum().reset_index()
         return g
 
+    # a list-valued column that is all-null in every other block: the
+    # keying stage emits Arrow blocks for the all-null blocks and pandas
+    # blocks (lists do not survive an Arrow round trip) for the others,
+    # so every coarse bucket mixes both block formats
+    parts = [pd.DataFrame({
+        'k': rng.choice(list('abcdefgh'), 50),
+        'v': rng.randint(0, 100, 50),
+        'tags': [None] * 50 if i % 2 else
+                [list(range(j % 3 + 1)) for j in range(50)]})
+        for i in range(4)]
+    mixed = pd.concat(parts, ignore_index=True)
+
+    def agg_tags(bucket: pd.DataFrame) -> pd.DataFrame:
+        n_tags = bucket['tags'].map(
+            lambda t: len(t) if isinstance(t, (list, np.ndarray)) else 0)
+        return bucket.assign(n_tags=n_tags).groupby('k', sort=False).agg(
+            v=('v', 'sum'), n_tags=('n_tags', 'sum')).reset_index()
+
     def run():
         out = rel.bucketed_map(rd.from_pandas(df).repartition(5), ['k'], agg)
-        return out.to_pandas().sort_values('k').reset_index(drop=True)
+        with monkeypatch.context() as m:
+            m.setattr(rel, 'AGG_BATCH_SIZE', 50)   # one batch per block
+            out_mixed = rel.bucketed_map(rd.from_pandas(parts), ['k'],
+                                         agg_tags)
+            got_mixed = rel.collect_pandas(out_mixed)
+        return (out.to_pandas().sort_values('k').reset_index(drop=True),
+                got_mixed.sort_values('k').reset_index(drop=True))
 
-    small = run()
+    small, small_mixed = run()
     monkeypatch.setattr(rel, 'SMALL_EXCHANGE_BYTES', 0)   # force real shuffle
-    large = run()
+    large, large_mixed = run()
     pd.testing.assert_frame_equal(small, large, check_dtype=False)
     want = df.groupby('k')['v'].sum().reset_index().sort_values('k').reset_index(drop=True)
     pd.testing.assert_frame_equal(small.astype({'v': 'int64'}),
                                   want.astype({'v': 'int64'}), check_dtype=False)
+    want_mixed = mixed.assign(n_tags=mixed['tags'].map(
+        lambda t: len(t) if isinstance(t, list) else 0)).groupby('k').agg(
+        v=('v', 'sum'), n_tags=('n_tags', 'sum')).reset_index()
+    for got in (small_mixed, large_mixed):
+        pd.testing.assert_frame_equal(got.astype('int64', errors='ignore')
+                                      .astype({'k': object}),
+                                      want_mixed.astype({'k': object}),
+                                      check_dtype=False)
 
 
 def test_joins_null_keys_never_match(ray_session, rd):

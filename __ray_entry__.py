@@ -22,12 +22,13 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per implemented operator/pipeline from SURVEY.md §2."""
-    from caligraph_ray.pipelines.queries import QUERIES
-    return dict(QUERIES)
+    """One entry per implemented operator/pipeline from SURVEY.md §2, read
+    from the ``@query`` registry in caligraph_ray.pipelines.queries."""
+    from caligraph_ray.pipelines.queries import queries
+    return queries()
 
 
 def oracle_sql() -> dict[str, str]:
     """DuckDB equivalents for the SQL-expressible queries."""
-    from caligraph_ray.pipelines.queries import ORACLES
-    return dict(ORACLES)
+    from caligraph_ray.pipelines.queries import oracle_sql
+    return oracle_sql()

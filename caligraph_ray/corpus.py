@@ -61,10 +61,6 @@ def entity_to_target(name: str) -> str:
     return name.replace(' ', '_')
 
 
-def target_to_entity(target: str) -> str:
-    return target.replace('_', ' ')
-
-
 def alias_labels(name: str, rng: np.random.RandomState) -> str:
     """Pick a surface label for an entity (exercises the alias index)."""
     r = rng.randint(4)

@@ -39,10 +39,6 @@ def param(v) -> Var:
     return Var(v, leaf=True)
 
 
-def const(v) -> Var:
-    return Var(v)
-
-
 def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum g down to `shape` (inverse of numpy broadcasting)."""
     while g.ndim > len(shape):

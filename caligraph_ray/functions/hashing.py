@@ -27,10 +27,6 @@ def stable_hash64_array(texts) -> np.ndarray:
     return np.fromiter((stable_hash64(t) for t in texts), dtype=np.int64, count=len(texts))
 
 
-def md5_hex(text: str) -> str:
-    return hashlib.md5(text.encode('utf-8')).hexdigest()
-
-
 def md5_hash64(text: str) -> int:
     """First 8 md5 bytes, little-endian — bit-identical to DuckDB's
     ``md5_number_upper``, which makes any operator parameterized on this

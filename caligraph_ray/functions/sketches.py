@@ -358,15 +358,17 @@ def bloom_bits(ds, column: str, m: int = 16384, k: int = 4, hash_fn=None):
 
 
 def _hdr_bucket(cents: np.ndarray) -> np.ndarray:
-    """HDR-histogram bucket id for non-negative int64 values: values < 8
-    are exact buckets 0..7; above, bucket = 8·floor(log2(v)) + the 3 bits
-    after the leading bit (≤ 12.5% relative error per bucket). The
-    exponent comes from ``np.frexp`` on the exact float64 image (ints
-    < 2^53 convert exactly, so the exponent is exact — no log rounding),
-    and the whole assignment replays in SQL as
+    """HDR-histogram bucket id for int64 values: values < 8 (negatives
+    included) are exact per-value buckets; above, bucket = 8·floor(log2(v))
+    + the 3 bits after the leading bit (≤ 12.5% relative error per bucket).
+    The exponent comes from ``np.frexp`` on the float64 image; above 2^53
+    that image can round up to the next power of two, so an exponent whose
+    shift leaves nothing is one too high and steps back. The whole
+    assignment replays in SQL as
     ``(length(bin(v)) − 1)·8 + ((v >> greatest(length(bin(v)) − 4, 0)) & 7)``."""
-    c = np.maximum(cents, 0)
+    c = np.asarray(cents, dtype=np.int64)
     exp = np.frexp(c.astype(np.float64))[1].astype(np.int64) - 1  # floor log2
+    exp -= (c >> np.maximum(exp, 0)) == 0
     sub = (c >> np.maximum(exp - 3, 0)) & 7
     return np.where(c < 8, c, exp * 8 + sub)
 

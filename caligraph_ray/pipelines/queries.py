@@ -1,23 +1,26 @@
-"""Query registry backing __ray_entry__.queries()/oracle_sql().
+"""Query registry backing __ray_entry__.queries()/oracle_sql(), bench.py
+and the tools.
 
 One entry per operator family from SURVEY.md §2, each running the real
 library stage over the driver testdata tables and paired (where
-SQL-expressible) with a DuckDB oracle. Column names and rounding are kept
-identical on both sides: float *sums* land on value grids → round() is safe;
-exact *ratios* can land on round-half midpoints (Python banker's vs DuckDB
-half-away) → floor-scaling (`floor(x*1e6)/1e6`) is used instead.
+SQL-expressible) with a DuckDB oracle; each ``q_<name>`` registers itself
+as query ``<name>`` with ``@query(oracle=...)``. Column names and rounding
+are kept identical on both sides: float *sums* land on value grids →
+round() is safe; exact *ratios* can land on round-half midpoints (Python
+banker's vs DuckDB half-away) → floor-scaling (`floor(x*1e6)/1e6`) is used
+instead.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
+import ray.data
 
 from ..functions.strings import NUMERIC_TOKEN_PATTERN
 from ..stages import relational as rel
@@ -31,6 +34,36 @@ from ..pipelines.flagship import (LINKED_VOCAB, MIN_DOC_TOKENS,
                                   documents_to_pages, run_flagship_on_documents)
 
 
+_REGISTRY: Dict[str, Tuple[Callable[[str], object],
+                           Optional[Callable[[], str]]]] = {}
+
+
+def query(oracle: Optional[Callable[[], str]] = None):
+    """Register the decorated ``q_<name>`` as query ``<name>``. ``oracle``
+    returns its DuckDB SQL; it is a thunk because the SQL sits below the
+    query it checks."""
+    def register(fn):
+        _REGISTRY[fn.__name__[len('q_'):]] = (fn, oracle)
+        return fn
+    return register
+
+
+def queries() -> Dict[str, Callable[[str], object]]:
+    return {name: fn for name, (fn, _) in _REGISTRY.items()}
+
+
+def oracle_sql() -> Dict[str, str]:
+    return {name: sql() for name, (_, sql) in _REGISTRY.items() if sql}
+
+
+def to_pandas(result) -> pd.DataFrame:
+    """Collect a query result (Dataset, Arrow table or DataFrame) the way
+    the oracle gate and the bench both read it."""
+    if isinstance(result, (ray.data.Dataset, pa.Table)):
+        return result.to_pandas()
+    return result
+
+
 def _floor6(x: float) -> float:
     return math.floor(x * 1_000_000) / 1_000_000
 
@@ -41,6 +74,7 @@ _VOCAB_SQL = "({})".format(", ".join(f"'{w}'" for w in LINKED_VOCAB))
 
 # --- relational family ------------------------------------------------------
 
+@query(oracle=lambda: SQL_PRICING)
 def q_pricing_summary(sf_dir: str):
     """A6-style grouped aggregate with partial combine (TPC-H Q1 shape)."""
     ds = rel.read_table(sf_dir, 'lineitem',
@@ -70,6 +104,7 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 """
 
 
+@query(oracle=lambda: SQL_REVENUE)
 def q_revenue_by_nation(sf_dir: str):
     """Star join (J2/J3): orders ⋈ customer through the gated shuffle_join
     (customer scales with SF — never collected to the driver; the measured
@@ -93,6 +128,7 @@ GROUP BY n_name
 """
 
 
+@query(oracle=lambda: SQL_REVENUE_REGION)
 def q_revenue_by_region(sf_dir: str):
     """Deepest star join in the testdata: orders ⋈ customer via the gated
     shuffle_join (customer is SF-scaled), then the nation⋈region dim —
@@ -120,6 +156,7 @@ GROUP BY r_name
 """
 
 
+@query(oracle=lambda: SQL_REVENUE_ROLLUP)
 def q_revenue_rollup(sf_dir: str):
     """ROLLUP(region, nation) revenue with subtotal and grand-total rows —
     computed the scale-smart way: ONE exchange aggregates the fine
@@ -177,6 +214,7 @@ ORDER BY r_name NULLS FIRST, n_name NULLS FIRST
 """
 
 
+@query(oracle=lambda: SQL_PRIORITY_LINEITEM)
 def q_priority_lineitem_revenue(sf_dir: str):
     """FACT-FACT join: lineitem ⋈ orders on orderkey (both dataset-sized —
     the co-partitioned shuffle_join path, with the small-side broadcast
@@ -213,6 +251,7 @@ GROUP BY o_orderpriority ORDER BY o_orderpriority
 """
 
 
+@query(oracle=lambda: SQL_SUPPLIER_ACTIVITY)
 def q_supplier_activity(sf_dir: str):
     """Per-nation supplier roster + shipping activity (completes the
     testdata table coverage: supplier was the one unjoined table): dim
@@ -270,6 +309,7 @@ ORDER BY n_name
 """
 
 
+@query(oracle=lambda: SQL_PRIORITY_STATUS_CUBE)
 def q_priority_status_cube(sf_dir: str):
     """CUBE(o_orderpriority, o_orderstatus) revenue — all four grouping
     sets, computed like the rollup: ONE fact exchange at the fine level in
@@ -313,6 +353,7 @@ ORDER BY o_orderpriority NULLS FIRST, o_orderstatus NULLS FIRST
 """
 
 
+@query(oracle=lambda: SQL_JSON_PROPS)
 def q_json_prop_stats(sf_dir: str):
     """JSON property extraction + aggregate (§2.8 scalar-fn surface over
     the events ``props`` JSON column): per event_type integer stats of
@@ -346,6 +387,7 @@ FROM events GROUP BY event_type ORDER BY event_type
 """
 
 
+@query(oracle=lambda: SQL_NO_ORDERS)
 def q_customers_without_orders(sf_dir: str):
     """Anti join via broadcast key set (J3, extract.py:286-289)."""
     order_keys = rel.read_table(sf_dir, 'orders', ['o_custkey']).unique('o_custkey')
@@ -362,6 +404,7 @@ WHERE c_custkey NOT IN (SELECT o_custkey FROM orders)
 """
 
 
+@query(oracle=lambda: SQL_SEMI_PARTS)
 def q_semi_join_large_parts(sf_dir: str):
     """Semi join via broadcast key set + two-phase sum."""
     part_keys = rel.read_table(sf_dir, 'part', ['p_partkey', 'p_size']) \
@@ -380,6 +423,7 @@ GROUP BY l_partkey
 """
 
 
+@query(oracle=lambda: SQL_TOP_DOCS)
 def q_top_docs_per_lang(sf_dir: str):
     """Per-group top-k (O1)."""
     docs = rel.read_table(sf_dir, 'documents', ['lang', 'doc_id', 'n_chars'])
@@ -392,6 +436,7 @@ QUALIFY row_number() OVER (PARTITION BY lang ORDER BY n_chars DESC, doc_id) <= 3
 """
 
 
+@query(oracle=lambda: SQL_MODE_PRIORITY)
 def q_mode_priority_per_customer(sf_dir: str):
     """Mode per group (O3 Counter.most_common), ties → lexicographic min."""
     orders = rel.read_table(sf_dir, 'orders', ['o_custkey', 'o_orderpriority'])
@@ -406,6 +451,7 @@ QUALIFY row_number() OVER (PARTITION BY o_custkey ORDER BY cnt DESC, o_orderprio
 """
 
 
+@query(oracle=lambda: SQL_DISTINCT)
 def q_distinct_lang_source(sf_dir: str):
     """Exact distinct (A14/D1) via two-phase groupby."""
     docs = rel.read_table(sf_dir, 'documents', ['lang', 'source'])
@@ -416,6 +462,7 @@ def q_distinct_lang_source(sf_dir: str):
 SQL_DISTINCT = "SELECT DISTINCT lang, source FROM documents"
 
 
+@query(oracle=lambda: SQL_FUNCTIONAL)
 def q_functional_event_types(sf_dir: str):
     """Functional-predicate heuristic (A12, heuristics.py:163-184)."""
     ev = rel.read_table(sf_dir, 'events', ['event_type', 'user_id'])
@@ -431,6 +478,7 @@ GROUP BY event_type
 """
 
 
+@query(oracle=lambda: SQL_HOURLY)
 def q_hourly_user_activity(sf_dir: str):
     """Tumbling-window aggregate over the events log (§2.9 stream analogue)."""
     ev = rel.read_table(sf_dir, 'events', ['user_id', 'ts', 'value'])
@@ -454,6 +502,7 @@ FROM events GROUP BY user_id, date_trunc('hour', ts)
 """
 
 
+@query(oracle=lambda: SQL_TWO_LEVEL)
 def q_two_level_priority_stats(sf_dir: str):
     """Two-level aggregation (A6/A7, extract.py:90-147): per-(priority,
     customer) counts, then per-priority stats over those counts."""
@@ -482,6 +531,7 @@ GROUP BY o_orderpriority
 
 # --- text family ------------------------------------------------------------
 
+@query(oracle=lambda: SQL_TOKEN_FREQ)
 def q_token_frequencies(sf_dir: str):
     """Surface-form frequency build (A2) over documents tokens, freq ≥ 5."""
     docs = rel.read_table(sf_dir, 'documents', ['text'])
@@ -496,6 +546,7 @@ WHERE token <> '' GROUP BY token HAVING count(*) >= 5
 """
 
 
+@query(oracle=lambda: SQL_FREQ_LABELS)
 def q_frequent_labels(sf_dir: str):
     """Too-frequent unknown-label filter (A13/M20): valid entity labels
     (len>2, non-numeric) with freq > 50."""
@@ -519,6 +570,7 @@ GROUP BY token HAVING count(*) > 50
 """
 
 
+@query(oracle=lambda: SQL_BIGRAMS)
 def q_bigram_counts(sf_dir: str):
     """Adjacent-pair counts (A1 hypernym-pair analogue), freq ≥ 10."""
     docs = rel.read_table(sf_dir, 'documents', ['text'])
@@ -543,6 +595,7 @@ GROUP BY t1.tok, t2.tok HAVING count(*) >= 10
 """
 
 
+@query(oracle=lambda: SQL_BOILERPLATE)
 def q_boilerplate_removal(sf_dir: str):
     """Per-source boilerplate line removal (stages/boilerplate.py): docs are
     wrapped with shared nav/subscribe/copyright lines plus a rare Ref line;
@@ -595,6 +648,7 @@ GROUP BY k.doc_id
 """
 
 
+@query(oracle=lambda: SQL_URL_CANONICAL)
 def q_url_canonical_dedup(sf_dir: str):
     """URL canonicalization + exact dedup by canonical form (web-corpus
     identity family, functions/urls.py): messy URLs rendered
@@ -647,6 +701,7 @@ GROUP BY canonical_url
 """
 
 
+@query(oracle=lambda: SQL_PII)
 def q_pii_scrub(sf_dir: str):
     """PII scrubbing (training-data hygiene family, stages/pii.py): contact
     lines rendered deterministically from the customer table (email from
@@ -708,6 +763,7 @@ FROM base
 """
 
 
+@query(oracle=lambda: SQL_QUALITY)
 def q_quality_scores(sf_dir: str):
     """Document quality signals (training-data filtering family): token
     stats + stopword ratio + Gopher-style punctuation ratio and
@@ -752,6 +808,7 @@ FROM t
 """
 
 
+@query(oracle=lambda: SQL_DUP_SPANS)
 def q_duplicate_spans(sf_dir: str, min_len: int = 5):
     """Exact cross-document duplicate token spans ≥ min_len (Lee et al.
     exact-substring dedup at span granularity); the oracle replays the
@@ -786,6 +843,7 @@ FROM isl GROUP BY da, db, diag, grp
 """
 
 
+@query(oracle=lambda: _sql_bpe_merges())
 def q_bpe_merges(sf_dir: str, n_merges: int = 10):
     """BPE tokenizer TRAINING over the corpus (distributed word counts +
     deterministic merge loop); the oracle replays all ten merges as
@@ -863,6 +921,7 @@ FROM a{n_merges}""")
     return ''.join(parts)
 
 
+@query(oracle=lambda: _sql_bpe_segment())
 def q_bpe_segment_counts(sf_dir: str, n_merges: int = 10):
     """BPE train → APPLY lifecycle: learn the merges from the corpus, then
     segment every document distributed (one vectorized replace chain per
@@ -873,6 +932,7 @@ def q_bpe_segment_counts(sf_dir: str, n_merges: int = 10):
     return bpe_segment_counts(docs, n_merges=n_merges)
 
 
+@query(oracle=lambda: _sql_lang_id_ngram())
 def q_lang_id_ngram(sf_dir: str):
     """Character-trigram language ID over en/fr/de/es (profile classifier
     with embedded deterministic profiles); oracle replays every profile
@@ -907,6 +967,7 @@ FROM best WHERE rn = 1
 """
 
 
+@query(oracle=lambda: SQL_REPETITION)
 def q_repetition_stats(sf_dir: str):
     """Gopher-style repetition filters (Rae et al. 2021 §A1.1) per doc:
     top-bigram character fraction + duplicate-5-gram occurrence fraction,
@@ -950,6 +1011,7 @@ FROM t LEFT JOIN topbg ON t.doc_id = topbg.doc_id
 """
 
 
+@query(oracle=lambda: SQL_BPE_COUNTS)
 def q_bpe_token_counts(sf_dir: str):
     """Per-document BPE-ish pretoken counts (token budgeting for training
     data); the oracle recounts with the same RE2-compatible pattern."""
@@ -964,6 +1026,7 @@ FROM documents
 """.format(pat=ts.BPE_PRETOKEN_PATTERN.replace("'", "''"))
 
 
+@query(oracle=lambda: SQL_LANG_ID)
 def q_lang_id(sf_dir: str):
     docs = rel.read_table(sf_dir, 'documents', ['doc_id', 'text'])
     return ts.lang_id(docs)
@@ -982,6 +1045,7 @@ FROM t
 
 # --- dedup family -----------------------------------------------------------
 
+@query(oracle=lambda: SQL_DEDUP_EXACT)
 def q_dedup_exact(sf_dir: str):
     docs = rel.read_table(sf_dir, 'documents', ['doc_id', 'text'])
     return dd.exact_dedup(docs)
@@ -993,6 +1057,8 @@ FROM documents GROUP BY md5(text)
 """
 
 
+@query(oracle=lambda: SQL_MINHASH_DEDUP.replace(
+    '{perm_values}', _minhash_perm_values()))
 def q_minhash_dedup(sf_dir: str):
     """MinHash-LSH near-dup groups, fully oracle-gated: with the md5-based
     shingle hash the 64 permutation minima are recomputed bit-identically in
@@ -1040,6 +1106,7 @@ SELECT a AS doc_id, least(min(b), a) AS dup_group FROM reach GROUP BY a
 """
 
 
+@query(oracle=lambda: SQL_SIMHASH)
 def q_simhash_pairs(sf_dir: str):
     """SimHash hamming≤3 pairs with the md5-based token hash, so the whole
     signature pipeline (per-token bit votes → 64-bit signature → hamming)
@@ -1065,6 +1132,7 @@ WHERE bit_count(xor(a.sig, b.sig)) <= 3
 """
 
 
+@query(oracle=lambda: SQL_NGRAM_JACCARD)
 def q_ngram_jaccard_pairs(sf_dir: str):
     """Exact word-3-gram Jaccard ≥ 0.8 pairs. The Ray side buckets by
     rarest-shingle anchors (pigeonhole-exact, no false negatives); the SQL
@@ -1110,6 +1178,7 @@ WHERE len(list_intersect(x.shingles, y.shingles)) * 1.0 /
 EMB_DUP_THRESHOLD = 0.45   # one constant for the Ray side AND its oracle
 
 
+@query(oracle=lambda: SQL_EMB_DUPS)
 def q_embedding_near_dups(sf_dir: str, threshold: float = EMB_DUP_THRESHOLD):
     """Near-dup pairs via the volume-gated router: exact block-pair matmuls
     at oracle scale (under EMBEDDING_EXACT_MAX_BLOCKS), LSH above it."""
@@ -1126,6 +1195,7 @@ WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), CAST(b.embedding AS 
 """
 
 
+@query(oracle=lambda: _sql_semdedup(EMB_DUP_THRESHOLD))
 def q_semdedup_keep(sf_dir: str):
     """SemDeDup (Abbas et al. 2023): k-means-bucketed semantic dedup —
     keep a vector iff no same-cluster vector with a smaller id has rounded
@@ -1157,6 +1227,7 @@ FROM asg a
 """
 
 
+@query(oracle=lambda: SQL_FINGERPRINTS)
 def q_doc_fingerprints(sf_dir: str):
     """Winnowing fingerprints (8 smallest distinct rolling-16-char hashes)
     with the md5-based hash, exploded to one row per (doc_id, fp) and
@@ -1186,6 +1257,7 @@ SELECT doc_id, CAST(unnest(fp) AS VARCHAR) AS fp FROM fps
 """
 
 
+@query(oracle=lambda: SQL_FP_OVERLAP)
 def q_fingerprint_overlap_pairs(sf_dir: str):
     """Passage-level near-dup pairs: documents sharing ≥ 2 winnowing
     fingerprints, with the exact shared count (dedup.py
@@ -1232,6 +1304,7 @@ ORDER BY 1, 2
 
 # --- similarity search ------------------------------------------------------
 
+@query(oracle=lambda: SQL_KNN)
 def q_knn_topk(sf_dir: str):
     """Exact brute-force cosine top-10 for query vectors vec_id 0..2."""
     emb = rel.read_table(sf_dir, 'embeddings', ['vec_id', 'embedding'])
@@ -1257,6 +1330,7 @@ QUALIFY row_number() OVER (PARTITION BY q.query_idx
 """
 
 
+@query(oracle=lambda: SQL_QUANTIZED_KNN)
 def q_quantized_knn_topk(sf_dir: str):
     """int8-quantized brute-force top-10 (query vectors vec_id 0..2) with
     EXACT int64 dot products — the memory-bound ANN scale path (corpus
@@ -1312,6 +1386,7 @@ QUALIFY row_number() OVER (PARTITION BY qs.query_idx
 """
 
 
+@query(oracle=lambda: _sql_lsh_topk())
 def q_lsh_topk(sf_dir: str):
     """Approximate LSH top-k through the bucket INDEX (sub-linear multi-
     probe). Fully oracle-gated: the seeded hyperplanes are embedded as
@@ -1334,6 +1409,7 @@ def q_lsh_topk(sf_dir: str):
     return out
 
 
+@query(oracle=lambda: _sql_kmeans_assign())
 def q_kmeans_assignments(sf_dir: str):
     """IVF centroid TRAINING (distributed spherical k-means, 2 Lloyd
     iterations from the deterministic id-prefix init) → final inverted-
@@ -1442,6 +1518,7 @@ def _part_type_edges(sf_dir: str):
     return part.map_batches(edges, batch_format='pandas')
 
 
+@query(oracle=lambda: SQL_TAXONOMY_EDGES)
 def q_taxonomy_edges(sf_dir: str):
     """Distinct (child, parent) taxonomy edge table (the distributed edge
     extraction feeding hierarchy assembly — SURVEY.md taxonomy layer)."""
@@ -1461,6 +1538,7 @@ SELECT DISTINCT child, parent FROM e
 """
 
 
+@query(oracle=lambda: SQL_TYPE_CLOSURE)
 def q_type_closure(sf_dir: str):
     """Transitive closure (node, anc) of the taxonomy — hierarchy assembled
     driver-side over the small edge dim, closure EMITTED distributed
@@ -1486,6 +1564,7 @@ SELECT node, anc FROM cl
 
 # --- text/graph heuristics ---------------------------------------------------
 
+@query(oracle=lambda: SQL_HEARST)
 def q_hearst_hypernyms(sf_dir: str):
     """Hearst-pattern hypernym counts (M17/A1) over deterministic
     'X is a Y' sentences rendered from the part table (the random document
@@ -1517,6 +1596,7 @@ GROUP BY sub, hyper
 """
 
 
+@query(oracle=lambda: SQL_LISTING_CHUNKS)
 def q_listing_chunks(sf_dir: str):
     """MD chunking (M18) over the rendered document listings: chunk counts +
     token/item sizes per listing, keyed by the SQL-derivable doc_id (the
@@ -1582,6 +1662,7 @@ WHERE (words + 5) // 6 >= 3
 """
 
 
+@query(oracle=lambda: SQL_TYPE_DISJOINT)
 def q_type_disjointness(sf_dir: str):
     """A11 type disjointness over the events log: each user is a 'type' and
     event types are the predicate-usage vector; cosine of idf-weighted
@@ -1631,6 +1712,7 @@ SELECT type_a, type_b FROM pairs WHERE cos <= 0.132
 
 # --- entity-store statistics (A8/A9) ----------------------------------------
 
+@query(oracle=lambda: SQL_TYPE_PROP_FREQ)
 def q_type_property_frequencies(sf_dir: str):
     """A9 per-type property frequencies over the part 'entity store':
     entity = p_partkey, type = the part taxonomy leaf, properties = brand +
@@ -1674,6 +1756,7 @@ FROM pc JOIN ec USING (ty)
 """
 
 
+@query(oracle=lambda: SQL_TAG_PROBAS)
 def q_tag_probabilities(sf_dir: str):
     """A8 tag probabilities: P(event_type | user bucket) treating events as
     tagged mentions (entity = user, tag = event_type) and user_id % 3 as
@@ -1710,6 +1793,7 @@ FROM agg JOIN tot USING (type)
 
 # --- evaluation harness ------------------------------------------------------
 
+@query(oracle=lambda: SQL_ED_METRICS)
 def q_ed_metrics_events(sf_dir: str):
     """The ED evaluation harness (functions/metrics.py) oracle-gated on a
     deterministic clustering task: mentions = users, predicted label = the
@@ -1796,6 +1880,7 @@ SELECT * FROM (
 
 # --- redirect canonicalization (D2) -----------------------------------------
 
+@query(oracle=lambda: SQL_REDIRECTS)
 def q_redirect_resolution(sf_dir: str):
     """Redirect folding with the levenshtein≤2 spelling guard (reference
     resource.py:290-305). The redirect table is synthesized deterministically
@@ -1852,6 +1937,7 @@ def _vec_mod7(t):
     return pa.array(t.column('vec_id').to_numpy() % 7)
 
 
+@query(oracle=lambda: SQL_LINKING_CANDS)
 def q_linking_candidates_topk(sf_dir: str):
     """ME candidate generation (J7/ST5): per mention vector, the top-4
     entity vectors by cosine within a ≥0.1 score window. Entities are the
@@ -1892,6 +1978,7 @@ QUALIFY row_number() OVER (PARTITION BY mention_id
 """
 
 
+@query(oracle=lambda: SQL_BM25)
 def q_bm25_label_match(sf_dir: str):
     """BM25 lexical candidate generation (ST8): top-5 documents for three
     fixed query strings; exact Okapi BM25 (k1=1.5, b=0.75), replicated in
@@ -1941,6 +2028,7 @@ QUALIFY row_number() OVER (PARTITION BY label ORDER BY s DESC, doc_id) <= 5
 
 # --- graph / KG family ------------------------------------------------------
 
+@query(oracle=lambda: SQL_DOMAIN_EVENTS)
 def q_domain_of_event_types(sf_dir: str):
     """A10 domain-heuristic analogue: per event_type the dominant user
     bucket (user_id % 4) if its share ≥ 0.3, else NULL."""
@@ -1980,6 +2068,7 @@ FROM ranked WHERE rn = 1
 """
 
 
+@query(oracle=lambda: SQL_NORM_NAMES)
 def q_normalized_customer_names(sf_dir: str):
     """Vectorized surface normalization (M11 normalize_surface_array) over
     customer names — parity-gated against the equivalent SQL expression."""
@@ -2002,6 +2091,7 @@ FROM customer
 """
 
 
+@query(oracle=lambda: SQL_APPROX_DISTINCT)
 def q_approx_distinct_users(sf_dir: str):
     """HLL approximate distinct over event users. Oracle-gated end to end:
     the md5-hashed register state replays exactly in SQL
@@ -2016,6 +2106,7 @@ def q_approx_distinct_users(sf_dir: str):
     return pd.DataFrame({'approx_distinct_users': [round(est, 6)]})
 
 
+@query(oracle=lambda: SQL_BLOOM_BITS)
 def q_bloom_user_bits(sf_dir: str):
     """The Bloom filter's merged BIT STATE over event users (salted md5,
     k=4, m=16384): per-batch filters bit-OR merged driver-side, nonzero
@@ -2037,6 +2128,7 @@ FROM events CROSS JOIN (SELECT unnest(range(4)) AS i) i
 """
 
 
+@query(oracle=lambda: SQL_SEEN_BEFORE)
 def q_seen_before_docs(sf_dir: str, m: int = 16384, k: int = 4):
     """Cross-crawl 'seen before' membership — the incremental-dedup
     primitive end to end: the PRIOR crawl day (even doc_ids, a
@@ -2108,6 +2200,7 @@ GROUP BY doc_id ORDER BY doc_id
 """
 
 
+@query(oracle=lambda: _sql_label_propagation())
 def q_user_communities(sf_dir: str):
     """Label-propagation communities (Raghavan et al. 2007, bounded
     synchronous rounds with ties → smallest label) over the same star
@@ -2157,6 +2250,7 @@ SELECT node AS user_id, lab FROM l{iters}""")
     return ''.join(parts)
 
 
+@query(oracle=lambda: SQL_COMPONENTS)
 def q_user_components(sf_dir: str):
     """Connected components (D4): users linked via shared event_type (star
     edges to the min user per type), CC via distributed contraction."""
@@ -2178,6 +2272,7 @@ def q_user_components(sf_dir: str):
                          'component': [r[1] for r in rows]})
 
 
+@query(oracle=lambda: SQL_COMPONENTS)
 def q_user_components_distributed(sf_dir: str):
     """The same user components through the FULLY distributed CC
     (canonicalize.connected_components_ds — min-label propagation, the
@@ -2236,6 +2331,7 @@ SELECT a AS user_id, least(min(b), a) AS component FROM reach GROUP BY a
 """
 
 
+@query(oracle=lambda: SQL_ALIAS_COUNTS)
 def q_alias_counts_docs(sf_dir: str):
     """End-to-end parse gate: documents → rendered pages → full HTML parse →
     mention explode → alias counts; the SQL oracle recomputes the same
@@ -2262,14 +2358,17 @@ GROUP BY tok
 """
 
 
+@query()
 def q_flagship_triples(sf_dir: str):
-    """Full KG pipeline over the driver documents (rows-only check; P/R
-    goldens live in tests/test_flagship.py)."""
+    """Full KG pipeline over the testdata documents: the one query without a
+    SQL oracle (rows-only check). It is gated by the single-process oracle
+    in tests/oracle_kg.py; its P/R goldens live in tests/test_flagship.py."""
     return run_flagship_on_documents(sf_dir)
 
 
 # --- temporal / ordered operators (as-of, range, sessions, rolling) ---------
 
+@query(oracle=lambda: SQL_ASOF)
 def q_asof_latest_order(sf_dir: str):
     """As-of join (the DuckDB ASOF JOIN contract): every event matched to
     the user's most recent order at event time. Order-date ties are
@@ -2296,6 +2395,7 @@ FROM events e ASOF JOIN o
 """
 
 
+@query(oracle=lambda: SQL_EVENT_PAIRS)
 def q_event_pairs_window(sf_dir: str):
     """Range (interval) join: all same-user event pairs where the later
     event falls strictly within 12 hours after the earlier one."""
@@ -2320,6 +2420,7 @@ FROM events a JOIN events b
 """
 
 
+@query(oracle=lambda: SQL_SESSIONS)
 def q_user_sessions(sf_dir: str):
     """Gap-based sessionization (30-minute inactivity gap) per user:
     session index, event count and span."""
@@ -2348,6 +2449,7 @@ FROM y GROUP BY 1, 2
 """
 
 
+@query(oracle=lambda: SQL_ROLLING)
 def q_rolling_user_value(sf_dir: str):
     """Per-user rolling window (current + 3 preceding rows in (ts, event_id)
     order): exact integer-cents sum + row count — the SQL ROWS frame,
@@ -2370,6 +2472,7 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
 """
 
 
+@query(oracle=lambda: SQL_IVF)
 def q_ivf_topk(sf_dir: str):
     """IVF-style ANN (deterministic id-prefix centroids, nprobe=4): the
     sub-linear scale path of the similarity family, fully replayed in SQL
@@ -2417,6 +2520,7 @@ QUALIFY row_number() OVER (PARTITION BY p.query_idx
 
 # --- exact quantiles + deterministic hash split -----------------------------
 
+@query(oracle=lambda: SQL_QUANTILES)
 def q_value_quantiles_by_type(sf_dir: str):
     """EXACT distributed quantiles (p50/p90/p99) of event value per type via
     a (group, cents) histogram — the shuffle is bounded by the distinct
@@ -2447,6 +2551,7 @@ GROUP BY event_type
 """
 
 
+@query(oracle=lambda: SQL_HASH_SPLIT)
 def q_hash_split_counts(sf_dir: str):
     """Deterministic train/val/test-style hash split (O5 at scale: no
     shuffle, no seed state — split is a pure function of the id, identical
@@ -2472,6 +2577,7 @@ FROM documents GROUP BY 1
 """
 
 
+@query(oracle=lambda: SQL_HASH_SAMPLE)
 def q_hash_sample_docs(sf_dir: str):
     """Deterministic 10% Bernoulli sample of documents (O5 at scale:
     sample membership is a pure salted-hash function of the id — no RNG
@@ -2490,6 +2596,7 @@ ORDER BY doc_id
 """
 
 
+@query(oracle=lambda: SQL_DOMAIN_CAP)
 def q_domain_cap_docs(sf_dir: str, k: int = 20):
     """Per-domain document budget (CCNet-style cap): keep at most k docs
     per source, ranked by the salted md5 of doc_id — deterministic,
@@ -2522,6 +2629,7 @@ ORDER BY source, doc_id
 """
 
 
+@query(oracle=lambda: _sql_stratified_sample())
 def q_stratified_sample_docs(sf_dir: str, k: int = 20):
     """Deterministic stratified sample: the k docs per language with the
     smallest salted-md5 rank — exact per-stratum quota with hash_sample's
@@ -2549,6 +2657,7 @@ ORDER BY doc_id
 """
 
 
+@query(oracle=lambda: SQL_PACKED_SEQUENCES)
 def q_packed_sequences(sf_dir: str, capacity: int = 512):
     """Training-sequence packing: global token prefix-sum over doc_id order
     (bucket-offset scan + per-bucket cumsum — no single-machine scan), then
@@ -2583,6 +2692,7 @@ FROM o ORDER BY doc_id
 """
 
 
+@query(oracle=lambda: SQL_HOST_QUALITY)
 def q_host_quality_docs(sf_dir: str):
     """Host-level quality filter (keep docs whose source clears the
     lexical-diversity per-mille bar; stages/textstats.host_quality_docs).
@@ -2616,6 +2726,7 @@ ORDER BY d.doc_id
 """
 
 
+@query(oracle=lambda: SQL_COOC_PMI)
 def q_cooccurrence_pmi(sf_dir: str):
     """Windowed co-occurrence PMI (relation-discovery/collocation signal,
     stages/textstats.cooccurrence_pmi) — exact-integer log2 fixed point,
@@ -2692,6 +2803,7 @@ ORDER BY p.w1, p.w2
 """
 
 
+@query(oracle=lambda: SQL_TRAINING_PREP)
 def q_training_data_prep(sf_dir: str):
     """End-to-end training-data preparation composite (pipelines/
     data_prep.training_data_prep): lang gate → length gate → split gate →
@@ -2766,6 +2878,7 @@ FROM o ORDER BY doc_id
 
 # --- corpus-LM scoring + contamination check --------------------------------
 
+@query(oracle=lambda: SQL_UNIGRAM_LP)
 def q_unigram_logprob_scores(sf_dir: str):
     """Unigram-LM document scores (integer fixed-point log2 units so the
     sums are exact AND every per-token value is engine-independent —
@@ -2821,6 +2934,7 @@ FROM toks t JOIN lp ON t.tok = lp.tok GROUP BY t.doc_id
 """
 
 
+@query(oracle=lambda: SQL_NGRAM_NOVELTY)
 def q_ngram_novelty(sf_dir: str):
     """Per-doc 5-gram novelty (distinct grams + corpus-unique grams) —
     stages/textstats.ngram_novelty; plain gram strings both sides."""
@@ -2853,6 +2967,7 @@ FROM sh JOIN df ON df.h = sh.h GROUP BY sh.doc_id
 _BLOCKLIST_TERMS = ('slow', 'drop', 'kill', 'crash')
 
 
+@query(oracle=lambda: SQL_BLOCKLIST_FLAGS)
 def q_blocklist_flags(sf_dir: str):
     """C4-style blocklist flags (token-exact counts against a broadcast
     term set — stand-in terms; the real bad-words list is a drop-in)."""
@@ -2875,6 +2990,7 @@ FROM documents
 """
 
 
+@query(oracle=lambda: SQL_HYGIENE_FILTERED)
 def q_hygiene_filtered_docs(sf_dir: str):
     """Round-4 hygiene composite — the C4/Gopher/CCNet filter chain as ONE
     operator: keep documents with at most 2 blocklist tokens, passing the
@@ -2912,6 +3028,7 @@ def q_hygiene_filtered_docs(sf_dir: str):
     return out.sort_values('doc_id').reset_index(drop=True)
 
 
+@query(oracle=lambda: SQL_GOPHER_FLAGS)
 def q_gopher_quality_flags(sf_dir: str):
     """Gopher rule-suite quality flags (Rae et al. 2021 §A1.1) — every
     rule an integer cross-multiplication, replayed exactly in SQL."""
@@ -2952,6 +3069,7 @@ FROM f
 """
 
 
+@query(oracle=lambda: SQL_PERPLEXITY_BUCKETS.format(unigram_lp=SQL_UNIGRAM_LP))
 def q_perplexity_buckets(sf_dir: str):
     """CCNet head/middle/tail perplexity bucketing (Wenzek et al. 2020):
     exact-integer normalized LM scores split at the exact global tertiles
@@ -2978,6 +3096,21 @@ FROM p, c
 """
 
 
+SQL_HYGIENE_FILTERED = f"""
+WITH bl AS MATERIALIZED (SELECT * FROM ({SQL_BLOCKLIST_FLAGS})),
+gf AS MATERIALIZED (SELECT * FROM ({SQL_GOPHER_FLAGS})),
+pb AS MATERIALIZED (SELECT * FROM (
+    {SQL_PERPLEXITY_BUCKETS.format(unigram_lp=SQL_UNIGRAM_LP)}))
+SELECT bl.doc_id, gf.n_words, pb.ppl_q, pb.bucket
+FROM bl JOIN gf ON gf.doc_id = bl.doc_id
+JOIN pb ON pb.doc_id = bl.doc_id
+WHERE bl.n_blocked <= 2 AND gf.pass_word_count = 1
+  AND gf.pass_mean_word_len = 1 AND gf.pass_symbol_ratio = 1
+  AND gf.pass_alpha_ratio = 1 AND pb.bucket <> 'tail'
+"""
+
+
+@query(oracle=lambda: SQL_IMPORTANCE_WEIGHTS)
 def q_importance_weights(sf_dir: str):
     """DSIR-style importance weights (Xie et al. 2023) with the English
     subset as the target distribution and the full corpus as raw: per-doc
@@ -3049,6 +3182,7 @@ FROM toks t JOIN w ON t.tok = w.tok GROUP BY t.doc_id
 """
 
 
+@query(oracle=lambda: SQL_BIGRAM_BACKOFF)
 def q_bigram_backoff_scores(sf_dir: str):
     """Bigram-LM document scores with stupid-backoff to the unigram model
     (stages/textstats.bigram_backoff_scores) — exact-integer log2 fixed
@@ -3127,6 +3261,7 @@ FROM scored GROUP BY doc_id ORDER BY doc_id
 """
 
 
+@query(oracle=lambda: _sql_tfidf_top_terms())
 def q_tfidf_top_terms(sf_dir: str, k: int = 5):
     """Per-doc top-k TF-IDF terms under the exact-integer log2_fixed
     contract; join-shaped (no vocab broadcast). Oracle reuses the
@@ -3179,6 +3314,7 @@ SELECT doc_id, tok AS token, score_q FROM scored WHERE rn <= {k}
 """
 
 
+@query(oracle=lambda: _sql_passage_chunks())
 def q_passage_chunks(sf_dir: str, window: int = 64, stride: int = 48):
     """Overlapping passage windows per doc (RAG chunk geometry + boundary
     tokens); oracle replays start arithmetic and list indexing exactly."""
@@ -3205,6 +3341,7 @@ FROM starts
 """
 
 
+@query(oracle=lambda: SQL_MIXTURE_SAMPLE)
 def q_mixture_sample_docs(sf_dir: str):
     """Deterministic per-language mixture sampling (training-data mixing:
     upsample fr/de, downsample en); membership replays as pure md5
@@ -3229,6 +3366,7 @@ ORDER BY doc_id
 """
 
 
+@query(oracle=lambda: SQL_CONTAMINATION)
 def q_split_contamination(sf_dir: str):
     """Train/test contamination: held-out (md5 split 0) documents sharing
     ≥1 distinct 5-gram shingle with any training-split document, with the
@@ -3264,6 +3402,7 @@ FROM hv v JOIN tr ON v.h = tr.h WHERE v.split = 0 GROUP BY v.doc_id
 
 # --- multimodal binary-payload pipeline (oracle-gated) ----------------------
 
+@query(oracle=lambda: SQL_MM_IMAGE)
 def q_multimodal_image_stats(sf_dir: str):
     """End-to-end binary-column pipeline through the REAL multimodal
     kernels: a deterministic 8×8 RGB image per document is PPM-encoded
@@ -3321,6 +3460,7 @@ FROM px GROUP BY doc_id
 
 # --- HLL register-state gate ------------------------------------------------
 
+@query(oracle=lambda: _sql_cms_heavy_hitters())
 def q_cms_user_heavy_hitters(sf_dir: str, threshold: int = 70,
                              depth: int = 4, width: int = 512):
     """Count-Min heavy hitters over event users: per-batch CMS sketches
@@ -3362,6 +3502,7 @@ FROM est WHERE est_cnt >= {threshold}
 """
 
 
+@query(oracle=lambda: _sql_pagerank())
 def q_pagerank_event_types(sf_dir: str, iters: int = 3):
     """Integer fixed-point PageRank over the event-type transition graph
     (consecutive same-user events, lead() semantics). Every iteration is
@@ -3377,6 +3518,7 @@ def q_pagerank_event_types(sf_dir: str, iters: int = 3):
     return out.sort_values('event_type').reset_index(drop=True)
 
 
+@query(oracle=lambda: SQL_TYPO_PAIRS)
 def q_typo_name_pairs(sf_dir: str):
     """Distinct customer names at edit distance exactly 1 (the
     surface-form/typo merge primitive, stages/dedup.edit_distance_pairs):
@@ -3406,6 +3548,7 @@ ORDER BY a, b
 """
 
 
+@query(oracle=lambda: SQL_TRIANGLES)
 def q_event_type_triangles(sf_dir: str):
     """Triangle enumeration over the undirected event-type transition graph
     (stages/graph.triangles: degree-oriented wedge join — the O(m^1.5)
@@ -3439,6 +3582,7 @@ ORDER BY x, y, z
 """
 
 
+@query(oracle=lambda: SQL_BFS_HOPS)
 def q_event_type_hops(sf_dir: str, max_hops: int = 4):
     """Bounded-depth BFS over the event-type transition graph from the
     lexicographically-first source type (stages/graph.bfs_hops: one
@@ -3478,6 +3622,7 @@ FROM walk GROUP BY node ORDER BY node
 """
 
 
+@query(oracle=lambda: SQL_TRENDING)
 def q_trending_event_types(sf_dir: str, k: int = 3):
     """Per-day top-k event types by count (windowed trending — the
     composition of the two-phase count and the per-group top-k exchange;
@@ -3521,6 +3666,7 @@ ORDER BY day, event_type
 """
 
 
+@query(oracle=lambda: SQL_RETENTION)
 def q_retention_cohorts(sf_dir: str):
     """Daily cohort retention matrix over the events log
     (stages/temporal.retention_cohorts) — the product-analytics shape:
@@ -3549,6 +3695,7 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
+@query(oracle=lambda: SQL_FUNNEL)
 def q_funnel_counts(sf_dir: str, n_steps: int = 3):
     """Ordered funnel conversion over the events log
     (stages/temporal.funnel_counts): users completing each prefix of the
@@ -3596,6 +3743,7 @@ WHERE n_users > 0 ORDER BY reached
 """
 
 
+@query(oracle=lambda: SQL_SESSION_FUNNEL)
 def q_session_funnel_counts(sf_dir: str, n_steps: int = 3):
     """Within-session ordered funnel (stages/temporal.
     session_funnel_counts): the greedy match must complete inside one
@@ -3650,6 +3798,7 @@ WHERE n_sessions > 0 ORDER BY reached
 """
 
 
+@query(oracle=lambda: _sql_kcore())
 def q_event_type_kcore(sf_dir: str, k: int = 2, rounds: int = 3):
     """Bounded 2-core of the undirected event-type graph via 3 peeling
     rounds (stages/graph.kcore_prune). Oracle = the same rounds as a
@@ -3694,6 +3843,7 @@ GROUP BY node ORDER BY node""")
     return ''.join(parts)
 
 
+@query(oracle=lambda: _sql_personalized_pagerank())
 def q_personalized_pagerank(sf_dir: str, iters: int = 3, n_seeds: int = 2):
     """Personalized PageRank over the event-type transition graph: the
     walk restarts at the ``n_seeds`` lexicographically-first nodes, so
@@ -3797,6 +3947,7 @@ SELECT node AS event_type, r AS rank_q FROM r{iters} ORDER BY event_type
     return ''.join(parts)
 
 
+@query(oracle=lambda: SQL_HLL_REGISTERS)
 def q_hll_user_registers(sf_dir: str):
     """The HLL sketch's merged REGISTER STATE over distinct event users
     (md5-hashed, splitmix-remixed): per-batch sketches merged driver-side,
@@ -3851,6 +4002,7 @@ FROM est0
 
 # --- registry ---------------------------------------------------------------
 
+@query(oracle=lambda: SQL_PIVOT_EVENTS)
 def q_pivot_event_type_counts(sf_dir: str):
     """Long → wide pivot (relational.pivot_counts): per-user event counts
     with one int64 column per event type — the dynamic SQL PIVOT contract
@@ -3871,6 +4023,7 @@ ORDER BY user_id
 """
 
 
+@query(oracle=lambda: SQL_UNPIVOT_EVENTS)
 def q_unpivot_event_type_counts(sf_dir: str):
     """The melt round trip: unpivot(pivot_counts(events)) — wide back to
     (user_id, event_type, n) INCLUDING the zero cells the pivot
@@ -3901,6 +4054,7 @@ ORDER BY u.user_id, t.event_type
 """
 
 
+@query(oracle=lambda: SQL_VALUE_MOMENTS)
 def q_value_moments_by_type(sf_dir: str):
     """Per-type exact-integer variance/covariance analytics
     (relational.grouped_moments): population var of milli-quantized value
@@ -3945,6 +4099,7 @@ FROM m ORDER BY event_type
 """
 
 
+@query(oracle=lambda: SQL_USER_TYPE_PROFILES)
 def q_user_type_profiles(sf_dir: str):
     """Per-user sorted distinct-event-type profile string — the SQL
     string_agg(DISTINCT … ORDER BY …) contract
@@ -3967,6 +4122,7 @@ GROUP BY user_id ORDER BY user_id
 """
 
 
+@query(oracle=lambda: SQL_USER_ACTIVITY_FULL_JOIN)
 def q_user_activity_full_join(sf_dir: str):
     """FULL OUTER join of two aggregates sharing an id domain — per-user
     event counts ⟗ per-customer order counts (relational.shuffle_join
@@ -4014,6 +4170,7 @@ ORDER BY user_id
 """
 
 
+@query(oracle=lambda: SQL_VALUE_NTILE)
 def q_value_ntile_by_type(sf_dir: str, n: int = 4):
     """NTILE(4) ranking window per event type under the (value, event_id)
     total order — one type-keyed exchange (relational.grouped_map), the
@@ -4050,6 +4207,7 @@ FROM events ORDER BY event_id
 """
 
 
+@query(oracle=lambda: SQL_APPROX_DISTINCT_BY_TYPE)
 def q_approx_distinct_users_by_type(sf_dir: str):
     """Per-event-type approximate distinct users — the grouped HLL
     (functions/sketches.hll_grouped_estimates): count(DISTINCT) per key
@@ -4101,6 +4259,7 @@ FROM est0 ORDER BY event_type
 """
 
 
+@query(oracle=lambda: SQL_VALUE_LAG_DELTA)
 def q_value_lag_delta(sf_dir: str):
     """LAG/LEAD window per user under the (ts, event_id) total order:
     integer-cents delta vs the previous event + the next event's type —
@@ -4132,6 +4291,7 @@ ORDER BY user_id, event_id
 """
 
 
+@query(oracle=lambda: SQL_RUNNING_USER_VALUE)
 def q_running_user_value(sf_dir: str):
     """Per-user running cumulative sum/count (the SQL UNBOUNDED PRECEDING
     frame) in exact integer cents — one user-keyed exchange, vectorized
@@ -4157,6 +4317,7 @@ ORDER BY user_id, event_id
 """
 
 
+@query(oracle=lambda: SQL_USER_RANK_BY_TYPE)
 def q_user_rank_by_type(sf_dir: str):
     """rank() + dense_rank() of users per event type by activity count —
     two-phase count, then ONE type-keyed exchange with vectorized
@@ -4185,6 +4346,7 @@ FROM c ORDER BY event_type, user_id
 """
 
 
+@query(oracle=lambda: SQL_DOC_SNAPSHOT_DIFF)
 def q_doc_snapshot_diff(sf_dir: str):
     """CDC snapshot diff (relational.snapshot_diff): documents vs a
     deterministically perturbed next-day snapshot — md5-selected ~10%
@@ -4246,6 +4408,7 @@ ORDER BY doc_id, change
 """
 
 
+@query(oracle=lambda: SQL_ACTIVE_USER_INTERSECT)
 def q_active_user_intersect(sf_dir: str):
     """SQL INTERSECT as a distributed op (relational.distinct_intersect):
     distinct user ids present in BOTH events and orders — per-batch
@@ -4266,6 +4429,7 @@ ORDER BY user_id
 """
 
 
+@query(oracle=lambda: SQL_ORDER_USERS_EXCEPT)
 def q_order_users_except_events(sf_dir: str):
     """SQL EXCEPT as a distributed op (relational.distinct_except):
     distinct customer keys that placed orders but never emitted an event —
@@ -4294,6 +4458,7 @@ _VALUE_BANDS = ([0.0, 1.0, 5.0, 20.0, 50.0, 100.0, 200.0, 500.0],
                  'b4_50_100', 'b5_100_200', 'b6_200_500'])
 
 
+@query(oracle=lambda: SQL_VALUE_BAND_COUNTS)
 def q_value_band_counts(sf_dir: str):
     """Key-less range join against a tiny interval dimension
     (relational.band_lookup_count): each event's value lands in a
@@ -4323,6 +4488,7 @@ GROUP BY band ORDER BY band
 """
 
 
+@query(oracle=lambda: SQL_VALUE_PERCENT_RANK)
 def q_value_percent_rank_by_type(sf_dir: str):
     """percent_rank + cume_dist ranking windows per event type under the
     (value, event_id) total order — one type-keyed exchange
@@ -4363,6 +4529,7 @@ FROM events ORDER BY event_id
 """
 
 
+@query(oracle=lambda: SQL_WEIGHTED_SAMPLE)
 def q_weighted_sample_docs(sf_dir: str, k: int = 50):
     """Deterministic weighted top-k sample, weight = document length
     (relational.weighted_race_topk): race key md5(salt:id)/n_chars, the k
@@ -4390,6 +4557,7 @@ ORDER BY race_key, doc_id LIMIT 50
 """
 
 
+@query(oracle=lambda: SQL_LEXICAL_DIVERSITY)
 def q_lexical_diversity_scores(sf_dir: str):
     """Per-doc lexical diversity (textstats.lexical_diversity): type-token
     ratio + Gini–Simpson index — the libm-free diversity pair (single
@@ -4422,6 +4590,7 @@ FROM t LEFT JOIN a USING (doc_id) ORDER BY t.doc_id
 """
 
 
+@query(oracle=lambda: SQL_HOPPING_WINDOW)
 def q_hopping_window_counts(sf_dir: str):
     """Hopping (overlapping sliding) window counts — 2-hour windows
     hopping 1 hour: an event at hour h is inside the windows starting at
@@ -4457,6 +4626,7 @@ FROM w GROUP BY window_start ORDER BY window_start
 """
 
 
+@query(oracle=lambda: SQL_EVENT_TYPE_JACCARD)
 def q_event_type_jaccard(sf_dir: str):
     """Pairwise Jaccard similarity between event types over their distinct
     user sets — the category-similarity operator (column/tag co-occurrence
@@ -4512,6 +4682,7 @@ ORDER BY ta, tb
 """
 
 
+@query(oracle=lambda: SQL_DEBOUNCED_EVENTS)
 def q_debounced_user_events(sf_dir: str):
     """Windowed dedup / debounce (temporal.debounce_filter): drop events
     arriving within 24 h of the previous event of the same (user, type)
@@ -4542,6 +4713,7 @@ ORDER BY event_id
 """
 
 
+@query(oracle=lambda: SQL_VALUE_OUTLIERS)
 def q_value_outliers_by_type(sf_dir: str):
     """Tukey IQR outlier filter per group — the data-cleaning operator:
     keep events whose cents fall outside [q25 − 1.5·IQR, q75 + 1.5·IQR]
@@ -4597,6 +4769,7 @@ ORDER BY event_id
 """
 
 
+@query(oracle=lambda: SQL_EVENT_TYPE_SALTED_JOIN)
 def q_event_type_salted_join(sf_dir: str):
     """Hot-key salted join (relational.salted_join, salts=8): events joined
     to the per-type distinct-user dim on event_type — a 5-value key, i.e.
@@ -4642,6 +4815,7 @@ GROUP BY e.event_type ORDER BY e.event_type
 """
 
 
+@query(oracle=lambda: SQL_BLOOM_SEMI_JOIN)
 def q_bloom_semi_join_lineitems(sf_dir: str):
     """Bloom-prefiltered semi join (relational.bloom_semi_join): lineitems
     of URGENT orders — the dim's distinct keys become a broadcast Bloom
@@ -4683,6 +4857,7 @@ WHERE l_orderkey IN (SELECT o_orderkey FROM orders
 """
 
 
+@query(oracle=lambda: SQL_EVENT_TRANSITIONS)
 def q_event_transition_counts(sf_dir: str):
     """First-order Markov transition counts over per-user event sequences
     (the sequence-mining primitive behind next-event prediction features):
@@ -4722,6 +4897,7 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
+@query(oracle=lambda: SQL_DECAYED_SCORES)
 def q_decayed_type_scores(sf_dir: str):
     """Time-decayed trending aggregate with INTEGER halving decay: each
     event contributes ``cents >> age_hours`` (a 1-hour half-life as a pure
@@ -4765,6 +4941,7 @@ FROM s GROUP BY event_type ORDER BY event_type
 """
 
 
+@query(oracle=lambda: SQL_TOP_WITH_TIES)
 def q_top_value_events_with_ties(sf_dir: str, k: int = 3):
     """Per-group top-k WITH TIES (the RANK() ≤ k contract, vs
     topk_per_group's row_number head): every event tying the k-th cents
@@ -4818,6 +4995,7 @@ FROM r WHERE rnk <= 3 ORDER BY event_id
 """
 
 
+@query(oracle=lambda: SQL_VALUE_HISTOGRAM)
 def q_value_histogram_by_type(sf_dir: str, nbins: int = 10):
     """Equi-width histogram per group over GLOBAL [min, max] cents bounds —
     the two-pass profile operator: pass 1 streams the global min/max as
@@ -4867,6 +5045,7 @@ FROM c, mm GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
+@query(oracle=lambda: SQL_USER_FIRST_TOUCH)
 def q_user_first_touch(sf_dir: str):
     """First-touch attribution: each user's FIRST event type under the
     (ts, event_id) total order, alongside their lifetime cents — the
@@ -4901,6 +5080,7 @@ FROM r GROUP BY user_id ORDER BY user_id
 """
 
 
+@query(oracle=lambda: SQL_DAILY_NEW_USERS)
 def q_daily_new_users(sf_dir: str):
     """Growth analytics: per day, the number of FIRST-SEEN users — a
     two-phase per-user min(day) (partial min inside every batch, one
@@ -4930,6 +5110,7 @@ GROUP BY first_day ORDER BY first_day
 """
 
 
+@query(oracle=lambda: SQL_FK_INTEGRITY)
 def q_fk_integrity_audit(sf_dir: str):
     """Cross-table data-quality audit: distinct orphan-key counts along
     the schema's FK edges (child keys with no parent) plus the reverse
@@ -4976,6 +5157,7 @@ ORDER BY edge
 """
 
 
+@query(oracle=lambda: SQL_HDR_QUANTILES)
 def q_hdr_value_quantiles(sf_dir: str):
     """Mergeable quantile SKETCH (functions/sketches.hdr_quantiles): HDR-
     histogram integer log buckets (≤ ~512 for any int64 domain, KB-sized
@@ -5027,6 +5209,7 @@ FROM sel
 """
 
 
+@query(oracle=lambda: SQL_HDR_QUANTILES_BY_TYPE)
 def q_hdr_quantiles_by_type(sf_dir: str):
     """Per-group HDR quantile sketch (sketches.hdr_grouped_quantiles) —
     the per-host/per-tenant latency-percentile shape: one (group, bucket)
@@ -5080,6 +5263,7 @@ FROM sel ORDER BY event_type
 """
 
 
+@query(oracle=lambda: SQL_COLUMN_PROFILE)
 def q_column_profile_orders(sf_dir: str):
     """Per-column data-profiling audit (relational.column_profile) over
     the orders table: rows / nulls / exact distinct / min / max per
@@ -5107,6 +5291,7 @@ SQL_COLUMN_PROFILE = " UNION ALL ".join(
      'o_totalprice']) + " ORDER BY col"
 
 
+@query(oracle=lambda: SQL_USER_EVENT_ENTROPY)
 def q_user_event_entropy(sf_dir: str):
     """Per-user Shannon entropy (nats) of the event-type distribution
     (relational.grouped_entropy): the source-diversity signal of
@@ -5132,6 +5317,7 @@ FROM c GROUP BY user_id ORDER BY user_id
 """
 
 
+@query(oracle=lambda: SQL_CORR_VALUE_HOUR)
 def q_corr_value_hour_by_type(sf_dir: str):
     """Grouped Pearson correlation (relational.grouped_corr) between
     event value and hour-of-day per event type — exact integer moment
@@ -5173,6 +5359,7 @@ ORDER BY event_type
 """
 
 
+@query(oracle=lambda: SQL_USER_SYMMETRIC_DIFF)
 def q_user_symmetric_diff(sf_dir: str):
     """Symmetric difference of the customer/user key domains — both
     EXCEPT directions (relational.distinct_except, one exchange each)
@@ -5208,6 +5395,7 @@ ORDER BY side, uid
 """
 
 
+@query(oracle=lambda: SQL_PARETO_ORDERS)
 def q_pareto_orders(sf_dir: str):
     """Grouped skyline (relational.pareto_front): per order priority the
     orders not dominated on (maximize totalprice, minimize orderdate).
@@ -5252,6 +5440,7 @@ ORDER BY o_orderpriority, o_orderkey
 """
 
 
+@query(oracle=lambda: SQL_CDC_CHUNK_DEDUP)
 def q_cdc_chunk_dedup(sf_dir: str):
     """Content-defined-chunking dedup (dedup.cdc_chunk_dedup): md5
     boundary test (== DuckDB md5_number_upper, full SQL replay), chunks
@@ -5295,6 +5484,7 @@ ORDER BY chunk_hash
 """
 
 
+@query(oracle=lambda: SQL_CHI2_KEYWORDS)
 def q_chi2_keywords_by_lang(sf_dir: str):
     """Per-language chi-squared keyword saliency
     (textstats.chi2_keyword_saliency): top-5 tokens per lang; exact
@@ -5332,6 +5522,7 @@ SELECT lang, token, chi2 FROM r WHERE rn <= 5 ORDER BY lang, token
 """
 
 
+@query(oracle=lambda: SQL_SHORTEST_PATHS)
 def q_shortest_path_costs(sf_dir: str, rounds: int = 4):
     """Bounded Bellman-Ford (graph.shortest_paths_int) over the weighted
     event-type transition graph from the lexicographically-first type:
@@ -5373,6 +5564,7 @@ FROM walk GROUP BY node ORDER BY node
 """
 
 
+@query(oracle=lambda: SQL_EVENT_TYPE_LIFT)
 def q_event_type_lift(sf_dir: str):
     """Association rules (relational.association_lift) over user baskets
     of event types: per ordered pair the basket co-count plus
@@ -5406,6 +5598,7 @@ ORDER BY item_a, item_b
 """
 
 
+@query(oracle=lambda: SQL_TRANSITION_GAPS)
 def q_transition_gap_stats(sf_dir: str):
     """Time-to-next-event stats per transition pair
     (temporal.transition_gap_stats): count and min/max/truncated-mean
@@ -5434,6 +5627,7 @@ GROUP BY from_type, to_type ORDER BY from_type, to_type
 """
 
 
+@query(oracle=lambda: SQL_TOKEN_POSTINGS)
 def q_token_postings(sf_dir: str):
     """Inverted-index postings sink: tokens with document frequency ≥ 2
     and their CAPPED comma-joined doc-id postings (first 10 in
@@ -5491,6 +5685,7 @@ ORDER BY token
 """
 
 
+@query(oracle=lambda: SQL_HITS)
 def q_hits_event_types(sf_dir: str, iters: int = 2):
     """Integer fixed-point HITS hubs/authorities (graph.hits_int) over
     the distinct event-type transition edges; max-normalized exact
@@ -5589,6 +5784,7 @@ est_{tag} AS (SELECT CASE WHEN (0.7213 / (1 + 1.079 / 4096.0)) * 4096.0
               FROM calc_{tag})"""
 
 
+@query(oracle=lambda: SQL_HLL_OVERLAP)
 def q_hll_overlap_users(sf_dir: str):
     """HLL set-operation estimates (sketches.hll_registers + the
     deterministic estimator): distinct-count estimates for order
@@ -5634,6 +5830,7 @@ FROM est_a CROSS JOIN est_b CROSS JOIN est_u
 """
 
 
+@query(oracle=lambda: SQL_VALUE_MAD)
 def q_value_mad_outliers(sf_dir: str):
     """Median-absolute-deviation outlier detection per event type — the
     robust-statistics complement of the IQR filter already on the board:
@@ -5702,6 +5899,7 @@ ORDER BY med.event_type
 """
 
 
+@query(oracle=lambda: SQL_WEEKLY_ACTIVE)
 def q_weekly_active_users(sf_dir: str):
     """Rolling 7-day distinct users per active day
     (temporal.rolling_distinct_count): the WAU engagement metric replayed
@@ -5728,6 +5926,7 @@ GROUP BY a.day ORDER BY a.day
 """
 
 
+@query(oracle=lambda: SQL_WEIGHTED_SAMPLE_BY_LANG)
 def q_weighted_sample_by_lang(sf_dir: str, k: int = 10):
     """Per-group deterministic weighted sampling
     (relational.weighted_race_topk_per_group): top-10 docs per language
@@ -5764,6 +5963,7 @@ FROM r WHERE rn <= 10 ORDER BY lang, race_key, doc_id
 """
 
 
+@query(oracle=lambda: SQL_VALUE_GROUPING_SETS)
 def q_value_grouping_sets(sf_dir: str):
     """GROUP BY GROUPING SETS (relational.grouping_sets_sum): sum of
     value cents at (type, hour), (type), (hour) and () granularities in
@@ -5811,6 +6011,7 @@ ORDER BY gid, 2, 3
 """
 
 
+@query(oracle=lambda: SQL_UNION_SCHEMA_EVOLUTION)
 def q_union_schema_evolution(sf_dir: str):
     """UNION ALL BY NAME across evolving crawl-snapshot schemas: an old
     snapshot (doc_id, n_chars — no lang column yet) unions with a new one
@@ -5869,6 +6070,7 @@ FROM u GROUP BY 1 ORDER BY 1
 """
 
 
+@query(oracle=lambda: SQL_CLUSTERING_COEFF)
 def q_clustering_coefficients(sf_dir: str):
     """Local clustering coefficient per node — the triad-closure metric
     composed from the board's distributed triangle enumeration
@@ -5950,6 +6152,7 @@ WHERE deg.d >= 2 ORDER BY deg.node
 """
 
 
+@query(oracle=lambda: SQL_SOURCE_GINI)
 def q_source_gini(sf_dir: str):
     """Domain-concentration Gini coefficient over per-source doc counts —
     the one-number skew audit curation dashboards track (a crawl where
@@ -5992,331 +6195,3 @@ SELECT n AS n_sources, total AS n_docs,
        AS gini
 FROM s
 """
-
-
-QUERIES: Dict[str, Callable[[str], object]] = {
-    'source_gini': q_source_gini,
-    'clustering_coefficients': q_clustering_coefficients,
-    'union_schema_evolution': q_union_schema_evolution,
-    'value_grouping_sets': q_value_grouping_sets,
-    'weekly_active_users': q_weekly_active_users,
-    'weighted_sample_by_lang': q_weighted_sample_by_lang,
-    'value_mad_outliers': q_value_mad_outliers,
-    'hll_overlap_users': q_hll_overlap_users,
-    'hits_event_types': q_hits_event_types,
-    'event_type_lift': q_event_type_lift,
-    'transition_gap_stats': q_transition_gap_stats,
-    'token_postings': q_token_postings,
-    'shortest_path_costs': q_shortest_path_costs,
-    'chi2_keywords_by_lang': q_chi2_keywords_by_lang,
-    'cdc_chunk_dedup': q_cdc_chunk_dedup,
-    'pareto_orders': q_pareto_orders,
-    'column_profile_orders': q_column_profile_orders,
-    'user_event_entropy': q_user_event_entropy,
-    'corr_value_hour_by_type': q_corr_value_hour_by_type,
-    'user_symmetric_diff': q_user_symmetric_diff,
-    'asof_latest_order': q_asof_latest_order,
-    'value_quantiles_by_type': q_value_quantiles_by_type,
-    'hash_split_counts': q_hash_split_counts,
-    'hash_sample_docs': q_hash_sample_docs,
-    'stratified_sample_docs': q_stratified_sample_docs,
-    'domain_cap_docs': q_domain_cap_docs,
-    'unigram_logprob_scores': q_unigram_logprob_scores,
-    'importance_weights': q_importance_weights,
-    'perplexity_buckets': q_perplexity_buckets,
-    'gopher_quality_flags': q_gopher_quality_flags,
-    'blocklist_flags': q_blocklist_flags,
-    'hygiene_filtered_docs': q_hygiene_filtered_docs,
-    'ngram_novelty': q_ngram_novelty,
-    'tfidf_top_terms': q_tfidf_top_terms,
-    'passage_chunks': q_passage_chunks,
-    'mixture_sample_docs': q_mixture_sample_docs,
-    'split_contamination': q_split_contamination,
-    'multimodal_image_stats': q_multimodal_image_stats,
-    'hll_user_registers': q_hll_user_registers,
-    'bloom_user_bits': q_bloom_user_bits,
-    'seen_before_docs': q_seen_before_docs,
-    'cms_user_heavy_hitters': q_cms_user_heavy_hitters,
-    'pagerank_event_types': q_pagerank_event_types,
-    'event_pairs_window': q_event_pairs_window,
-    'user_sessions': q_user_sessions,
-    'rolling_user_value': q_rolling_user_value,
-    'ivf_topk': q_ivf_topk,
-    'pricing_summary': q_pricing_summary,
-    'revenue_by_nation': q_revenue_by_nation,
-    'revenue_by_region': q_revenue_by_region,
-    'customers_without_orders': q_customers_without_orders,
-    'semi_join_large_parts': q_semi_join_large_parts,
-    'top_docs_per_lang': q_top_docs_per_lang,
-    'mode_priority_per_customer': q_mode_priority_per_customer,
-    'distinct_lang_source': q_distinct_lang_source,
-    'functional_event_types': q_functional_event_types,
-    'hourly_user_activity': q_hourly_user_activity,
-    'two_level_priority_stats': q_two_level_priority_stats,
-    'token_frequencies': q_token_frequencies,
-    'frequent_labels': q_frequent_labels,
-    'bigram_counts': q_bigram_counts,
-    'boilerplate_removal': q_boilerplate_removal,
-    'url_canonical_dedup': q_url_canonical_dedup,
-    'pii_scrub': q_pii_scrub,
-    'quality_scores': q_quality_scores,
-    'repetition_stats': q_repetition_stats,
-    'duplicate_spans': q_duplicate_spans,
-    'kmeans_assignments': q_kmeans_assignments,
-    'lang_id_ngram': q_lang_id_ngram,
-    'bpe_merges': q_bpe_merges,
-    'bpe_segment_counts': q_bpe_segment_counts,
-    'lang_id': q_lang_id,
-    'bpe_token_counts': q_bpe_token_counts,
-    'dedup_exact': q_dedup_exact,
-    'minhash_dedup': q_minhash_dedup,
-    'simhash_pairs': q_simhash_pairs,
-    'ngram_jaccard_pairs': q_ngram_jaccard_pairs,
-    'embedding_near_dups': q_embedding_near_dups,
-    'semdedup_keep': q_semdedup_keep,
-    'doc_fingerprints': q_doc_fingerprints,
-    'fingerprint_overlap_pairs': q_fingerprint_overlap_pairs,
-    'knn_topk': q_knn_topk,
-    'quantized_knn_topk': q_quantized_knn_topk,
-    'lsh_topk': q_lsh_topk,
-    'taxonomy_edges': q_taxonomy_edges,
-    'type_closure': q_type_closure,
-    'hearst_hypernyms': q_hearst_hypernyms,
-    'listing_chunks': q_listing_chunks,
-    'type_disjointness': q_type_disjointness,
-    'type_property_frequencies': q_type_property_frequencies,
-    'tag_probabilities': q_tag_probabilities,
-    'ed_metrics_events': q_ed_metrics_events,
-    'redirect_resolution': q_redirect_resolution,
-    'linking_candidates_topk': q_linking_candidates_topk,
-    'bm25_label_match': q_bm25_label_match,
-    'domain_of_event_types': q_domain_of_event_types,
-    'normalized_customer_names': q_normalized_customer_names,
-    'approx_distinct_users': q_approx_distinct_users,
-    'user_components': q_user_components,
-    'user_components_distributed': q_user_components_distributed,
-    'pivot_event_type_counts': q_pivot_event_type_counts,
-    'unpivot_event_type_counts': q_unpivot_event_type_counts,
-    'value_moments_by_type': q_value_moments_by_type,
-    'user_type_profiles': q_user_type_profiles,
-    'user_activity_full_join': q_user_activity_full_join,
-    'value_ntile_by_type': q_value_ntile_by_type,
-    'approx_distinct_users_by_type': q_approx_distinct_users_by_type,
-    'value_lag_delta': q_value_lag_delta,
-    'running_user_value': q_running_user_value,
-    'user_rank_by_type': q_user_rank_by_type,
-    'doc_snapshot_diff': q_doc_snapshot_diff,
-    'active_user_intersect': q_active_user_intersect,
-    'order_users_except_events': q_order_users_except_events,
-    'value_band_counts': q_value_band_counts,
-    'value_percent_rank_by_type': q_value_percent_rank_by_type,
-    'weighted_sample_docs': q_weighted_sample_docs,
-    'lexical_diversity_scores': q_lexical_diversity_scores,
-    'hopping_window_counts': q_hopping_window_counts,
-    'event_type_jaccard': q_event_type_jaccard,
-    'debounced_user_events': q_debounced_user_events,
-    'value_outliers_by_type': q_value_outliers_by_type,
-    'event_type_salted_join': q_event_type_salted_join,
-    'bloom_semi_join_lineitems': q_bloom_semi_join_lineitems,
-    'event_transition_counts': q_event_transition_counts,
-    'decayed_type_scores': q_decayed_type_scores,
-    'top_value_events_with_ties': q_top_value_events_with_ties,
-    'value_histogram_by_type': q_value_histogram_by_type,
-    'user_first_touch': q_user_first_touch,
-    'daily_new_users': q_daily_new_users,
-    'fk_integrity_audit': q_fk_integrity_audit,
-    'hdr_value_quantiles': q_hdr_value_quantiles,
-    'hdr_quantiles_by_type': q_hdr_quantiles_by_type,
-    'user_communities': q_user_communities,
-    'alias_counts_docs': q_alias_counts_docs,
-    'packed_sequences': q_packed_sequences,
-    'host_quality_docs': q_host_quality_docs,
-    'bigram_backoff_scores': q_bigram_backoff_scores,
-    'event_type_triangles': q_event_type_triangles,
-    'typo_name_pairs': q_typo_name_pairs,
-    'event_type_hops': q_event_type_hops,
-    'cooccurrence_pmi': q_cooccurrence_pmi,
-    'training_data_prep': q_training_data_prep,
-    'event_type_kcore': q_event_type_kcore,
-    'retention_cohorts': q_retention_cohorts,
-    'funnel_counts': q_funnel_counts,
-    'trending_event_types': q_trending_event_types,
-    'revenue_rollup': q_revenue_rollup,
-    'json_prop_stats': q_json_prop_stats,
-    'priority_lineitem_revenue': q_priority_lineitem_revenue,
-    'supplier_activity': q_supplier_activity,
-    'personalized_pagerank': q_personalized_pagerank,
-    'session_funnel_counts': q_session_funnel_counts,
-    'priority_status_cube': q_priority_status_cube,
-    'flagship_triples': q_flagship_triples,
-}
-
-ORACLES: Dict[str, str] = {
-    'source_gini': SQL_SOURCE_GINI,
-    'clustering_coefficients': SQL_CLUSTERING_COEFF,
-    'union_schema_evolution': SQL_UNION_SCHEMA_EVOLUTION,
-    'value_grouping_sets': SQL_VALUE_GROUPING_SETS,
-    'weekly_active_users': SQL_WEEKLY_ACTIVE,
-    'weighted_sample_by_lang': SQL_WEIGHTED_SAMPLE_BY_LANG,
-    'value_mad_outliers': SQL_VALUE_MAD,
-    'hll_overlap_users': SQL_HLL_OVERLAP,
-    'hits_event_types': SQL_HITS,
-    'event_type_lift': SQL_EVENT_TYPE_LIFT,
-    'transition_gap_stats': SQL_TRANSITION_GAPS,
-    'token_postings': SQL_TOKEN_POSTINGS,
-    'shortest_path_costs': SQL_SHORTEST_PATHS,
-    'chi2_keywords_by_lang': SQL_CHI2_KEYWORDS,
-    'cdc_chunk_dedup': SQL_CDC_CHUNK_DEDUP,
-    'pareto_orders': SQL_PARETO_ORDERS,
-    'column_profile_orders': SQL_COLUMN_PROFILE,
-    'user_event_entropy': SQL_USER_EVENT_ENTROPY,
-    'corr_value_hour_by_type': SQL_CORR_VALUE_HOUR,
-    'user_symmetric_diff': SQL_USER_SYMMETRIC_DIFF,
-    'asof_latest_order': SQL_ASOF,
-    'value_quantiles_by_type': SQL_QUANTILES,
-    'hash_split_counts': SQL_HASH_SPLIT,
-    'hash_sample_docs': SQL_HASH_SAMPLE,
-    'stratified_sample_docs': _sql_stratified_sample(),
-    'domain_cap_docs': SQL_DOMAIN_CAP,
-    'unigram_logprob_scores': SQL_UNIGRAM_LP,
-    'importance_weights': SQL_IMPORTANCE_WEIGHTS,
-    'perplexity_buckets': SQL_PERPLEXITY_BUCKETS.format(
-        unigram_lp=SQL_UNIGRAM_LP),
-    'gopher_quality_flags': SQL_GOPHER_FLAGS,
-    'blocklist_flags': SQL_BLOCKLIST_FLAGS,
-    'ngram_novelty': SQL_NGRAM_NOVELTY,
-    'hygiene_filtered_docs': f"""
-WITH bl AS MATERIALIZED (SELECT * FROM ({SQL_BLOCKLIST_FLAGS})),
-gf AS MATERIALIZED (SELECT * FROM ({SQL_GOPHER_FLAGS})),
-pb AS MATERIALIZED (SELECT * FROM (
-    {SQL_PERPLEXITY_BUCKETS.format(unigram_lp=SQL_UNIGRAM_LP)}))
-SELECT bl.doc_id, gf.n_words, pb.ppl_q, pb.bucket
-FROM bl JOIN gf ON gf.doc_id = bl.doc_id
-JOIN pb ON pb.doc_id = bl.doc_id
-WHERE bl.n_blocked <= 2 AND gf.pass_word_count = 1
-  AND gf.pass_mean_word_len = 1 AND gf.pass_symbol_ratio = 1
-  AND gf.pass_alpha_ratio = 1 AND pb.bucket <> 'tail'
-""",
-    'tfidf_top_terms': _sql_tfidf_top_terms(),
-    'passage_chunks': _sql_passage_chunks(),
-    'mixture_sample_docs': SQL_MIXTURE_SAMPLE,
-    'split_contamination': SQL_CONTAMINATION,
-    'multimodal_image_stats': SQL_MM_IMAGE,
-    'hll_user_registers': SQL_HLL_REGISTERS,
-    'bloom_user_bits': SQL_BLOOM_BITS,
-    'seen_before_docs': SQL_SEEN_BEFORE,
-    'cms_user_heavy_hitters': _sql_cms_heavy_hitters(),
-    'pagerank_event_types': _sql_pagerank(),
-    'event_pairs_window': SQL_EVENT_PAIRS,
-    'user_sessions': SQL_SESSIONS,
-    'rolling_user_value': SQL_ROLLING,
-    'ivf_topk': SQL_IVF,
-    'pricing_summary': SQL_PRICING,
-    'revenue_by_nation': SQL_REVENUE,
-    'revenue_by_region': SQL_REVENUE_REGION,
-    'customers_without_orders': SQL_NO_ORDERS,
-    'semi_join_large_parts': SQL_SEMI_PARTS,
-    'top_docs_per_lang': SQL_TOP_DOCS,
-    'mode_priority_per_customer': SQL_MODE_PRIORITY,
-    'distinct_lang_source': SQL_DISTINCT,
-    'functional_event_types': SQL_FUNCTIONAL,
-    'hourly_user_activity': SQL_HOURLY,
-    'two_level_priority_stats': SQL_TWO_LEVEL,
-    'token_frequencies': SQL_TOKEN_FREQ,
-    'frequent_labels': SQL_FREQ_LABELS,
-    'bigram_counts': SQL_BIGRAMS,
-    'boilerplate_removal': SQL_BOILERPLATE,
-    'url_canonical_dedup': SQL_URL_CANONICAL,
-    'pii_scrub': SQL_PII,
-    'quality_scores': SQL_QUALITY,
-    'repetition_stats': SQL_REPETITION,
-    'duplicate_spans': SQL_DUP_SPANS,
-    'kmeans_assignments': _sql_kmeans_assign(),
-    'lang_id_ngram': _sql_lang_id_ngram(),
-    'bpe_merges': _sql_bpe_merges(),
-    'bpe_segment_counts': _sql_bpe_segment(),
-    'lang_id': SQL_LANG_ID,
-    'bpe_token_counts': SQL_BPE_COUNTS,
-    'dedup_exact': SQL_DEDUP_EXACT,
-    'minhash_dedup': SQL_MINHASH_DEDUP.replace('{perm_values}', _minhash_perm_values()),
-    'simhash_pairs': SQL_SIMHASH,
-    'ngram_jaccard_pairs': SQL_NGRAM_JACCARD,
-    'doc_fingerprints': SQL_FINGERPRINTS,
-    'fingerprint_overlap_pairs': SQL_FP_OVERLAP,
-    'embedding_near_dups': SQL_EMB_DUPS,
-    'semdedup_keep': _sql_semdedup(EMB_DUP_THRESHOLD),
-    'knn_topk': SQL_KNN,
-    'quantized_knn_topk': SQL_QUANTIZED_KNN,
-    'taxonomy_edges': SQL_TAXONOMY_EDGES,
-    'type_closure': SQL_TYPE_CLOSURE,
-    'type_disjointness': SQL_TYPE_DISJOINT,
-    'type_property_frequencies': SQL_TYPE_PROP_FREQ,
-    'tag_probabilities': SQL_TAG_PROBAS,
-    'ed_metrics_events': SQL_ED_METRICS,
-    'redirect_resolution': SQL_REDIRECTS,
-    'linking_candidates_topk': SQL_LINKING_CANDS,
-    'bm25_label_match': SQL_BM25,
-    'domain_of_event_types': SQL_DOMAIN_EVENTS,
-    'normalized_customer_names': SQL_NORM_NAMES,
-    'user_components': SQL_COMPONENTS,
-    'user_components_distributed': SQL_COMPONENTS,
-    'pivot_event_type_counts': SQL_PIVOT_EVENTS,
-    'unpivot_event_type_counts': SQL_UNPIVOT_EVENTS,
-    'value_moments_by_type': SQL_VALUE_MOMENTS,
-    'user_type_profiles': SQL_USER_TYPE_PROFILES,
-    'user_activity_full_join': SQL_USER_ACTIVITY_FULL_JOIN,
-    'value_ntile_by_type': SQL_VALUE_NTILE,
-    'approx_distinct_users_by_type': SQL_APPROX_DISTINCT_BY_TYPE,
-    'value_lag_delta': SQL_VALUE_LAG_DELTA,
-    'running_user_value': SQL_RUNNING_USER_VALUE,
-    'user_rank_by_type': SQL_USER_RANK_BY_TYPE,
-    'doc_snapshot_diff': SQL_DOC_SNAPSHOT_DIFF,
-    'active_user_intersect': SQL_ACTIVE_USER_INTERSECT,
-    'order_users_except_events': SQL_ORDER_USERS_EXCEPT,
-    'value_band_counts': SQL_VALUE_BAND_COUNTS,
-    'value_percent_rank_by_type': SQL_VALUE_PERCENT_RANK,
-    'weighted_sample_docs': SQL_WEIGHTED_SAMPLE,
-    'lexical_diversity_scores': SQL_LEXICAL_DIVERSITY,
-    'hopping_window_counts': SQL_HOPPING_WINDOW,
-    'event_type_jaccard': SQL_EVENT_TYPE_JACCARD,
-    'debounced_user_events': SQL_DEBOUNCED_EVENTS,
-    'value_outliers_by_type': SQL_VALUE_OUTLIERS,
-    'event_type_salted_join': SQL_EVENT_TYPE_SALTED_JOIN,
-    'bloom_semi_join_lineitems': SQL_BLOOM_SEMI_JOIN,
-    'event_transition_counts': SQL_EVENT_TRANSITIONS,
-    'decayed_type_scores': SQL_DECAYED_SCORES,
-    'top_value_events_with_ties': SQL_TOP_WITH_TIES,
-    'value_histogram_by_type': SQL_VALUE_HISTOGRAM,
-    'user_first_touch': SQL_USER_FIRST_TOUCH,
-    'daily_new_users': SQL_DAILY_NEW_USERS,
-    'fk_integrity_audit': SQL_FK_INTEGRITY,
-    'hdr_value_quantiles': SQL_HDR_QUANTILES,
-    'hdr_quantiles_by_type': SQL_HDR_QUANTILES_BY_TYPE,
-    'user_communities': _sql_label_propagation(),
-    'alias_counts_docs': SQL_ALIAS_COUNTS,
-    'approx_distinct_users': SQL_APPROX_DISTINCT,
-    'hearst_hypernyms': SQL_HEARST,
-    'listing_chunks': SQL_LISTING_CHUNKS,
-    'lsh_topk': _sql_lsh_topk(),
-    'packed_sequences': SQL_PACKED_SEQUENCES,
-    'host_quality_docs': SQL_HOST_QUALITY,
-    'bigram_backoff_scores': SQL_BIGRAM_BACKOFF,
-    'event_type_triangles': SQL_TRIANGLES,
-    'typo_name_pairs': SQL_TYPO_PAIRS,
-    'event_type_hops': SQL_BFS_HOPS,
-    'cooccurrence_pmi': SQL_COOC_PMI,
-    'training_data_prep': SQL_TRAINING_PREP,
-    'event_type_kcore': _sql_kcore(),
-    'retention_cohorts': SQL_RETENTION,
-    'funnel_counts': SQL_FUNNEL,
-    'trending_event_types': SQL_TRENDING,
-    'revenue_rollup': SQL_REVENUE_ROLLUP,
-    'json_prop_stats': SQL_JSON_PROPS,
-    'priority_lineitem_revenue': SQL_PRIORITY_LINEITEM,
-    'supplier_activity': SQL_SUPPLIER_ACTIVITY,
-    'personalized_pagerank': _sql_personalized_pagerank(),
-    'session_funnel_counts': SQL_SESSION_FUNNEL,
-    'priority_status_cube': SQL_PRIORITY_STATUS_CUBE,
-    # rows-only (non-SQL-expressible): flagship_triples (full KG pipeline;
-    # gated instead by the single-process oracle in tests/oracle_kg.py)
-}

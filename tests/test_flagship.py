@@ -49,6 +49,19 @@ def test_flagship_join_scale_path_matches_surface(ray_session, small_corpus):
     assert joined == oracle_triples(pages)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    'ROADMAP item 1: mention_uid hashes url#listing#item#mi, so it collides '
+    'across re-fetched URLs; the oracle merges each colliding uid into one '
+    'node, the surface closed form keeps the rows apart'))
+def test_flagship_surface_path_matches_oracle_past_fixture(ray_session):
+    """The 80-page fixture hides the divergence; 120 pages (seed 42) show
+    it: re-fetched URLs share mention uids there."""
+    table = generate_pages_table(120, seed=42)
+    pages = list(zip(table.column('url').to_pylist(),
+                     table.column('html').to_pylist()))
+    assert _run(table, canon='surface') == oracle_triples(pages)
+
+
 def test_flagship_scored_sharded_gate_matches_broadcast(
         ray_session, small_corpus, monkeypatch):
     """Forced-low-gate run of the scored-ED path: SCORED_NAME_LIMIT=0 makes

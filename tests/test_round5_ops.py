@@ -305,6 +305,30 @@ def test_hdr_bucket_monotone_and_bounds():
     assert (width * 8 <= lbs[b[big]]).all()
 
 
+def test_hdr_bucket_matches_oracle_case_expression():
+    """The engine bucket equals the SQL_HDR_QUANTILES* bucket CASE on
+    negatives (exact per-value buckets, no clamp) and on 2^k − d above 2^53,
+    where the float64 image of the value rounds up to 2^k."""
+    import duckdb
+    from caligraph_ray.functions.sketches import _hdr_bucket
+    vals = (list(range(-300, 301))
+            + [(1 << k) - d for k in range(50, 64) for d in (1, 2, 3, 100)]
+            + [-(1 << 63) + 1, (1 << 63) - 1])
+    df = pd.DataFrame({'i': np.arange(len(vals)),
+                       'v': np.array(vals, dtype=np.int64)})
+    con = duckdb.connect()
+    con.register('c', df)
+    sql = con.execute("""
+        SELECT CASE WHEN v < 8 THEN v
+                    ELSE (length(bin(v)) - 1) * 8
+                         + ((v >> greatest(length(bin(v)) - 4, 0)) & 7) END
+               AS bucket
+        FROM c ORDER BY i""").fetchdf()['bucket'].to_numpy()
+    got = _hdr_bucket(df['v'].to_numpy())
+    bad = [(v, int(g), int(s)) for v, g, s in zip(vals, got, sql) if g != s]
+    assert not bad, bad[:5]
+
+
 def test_hdr_quantiles_partition_invariant_and_near_exact(ray_session):
     from caligraph_ray.functions.sketches import hdr_quantiles
     rng = np.random.RandomState(3)

@@ -2,11 +2,16 @@
 entry at a given sf and compare against oracle_sql() via DuckDB
 (row count + column names + order-insensitive value comparison).
 
-Usage: python tools/check_correctness.py [sf_dir] [query ...]
+Usage: python tools/check_correctness.py [sf_dir] [query ...] [--json PATH]
+
+--json writes one verdict per query (name, status, rows, seconds, plus the
+digest of the canonicalized result so two commits' boards can be diffed).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import sys
 import time
@@ -19,19 +24,6 @@ import pandas as pd
 
 TABLES = ['region', 'nation', 'customer', 'supplier', 'part', 'orders',
           'lineitem', 'events', 'documents', 'embeddings']
-
-
-def to_pandas(obj) -> pd.DataFrame:
-    import pyarrow as pa
-    try:
-        import ray.data as rd
-        if isinstance(obj, rd.Dataset):
-            return obj.to_pandas()
-    except ImportError:
-        pass
-    if isinstance(obj, pa.Table):
-        return obj.to_pandas()
-    return obj
 
 
 def canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -96,7 +88,17 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
     return 'OK'
 
 
+def digest(df: pd.DataFrame) -> str:
+    rows = pd.util.hash_pandas_object(canon(df).astype(str), index=False)
+    return hashlib.sha256(rows.values.tobytes()).hexdigest()[:16]
+
+
 def main():
+    json_path = None
+    if '--json' in sys.argv:
+        i = sys.argv.index('--json')
+        json_path = sys.argv[i + 1]
+        del sys.argv[i:i + 2]
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else '/root/testdata/sf0.01'
     only = set(sys.argv[2:])
 
@@ -108,6 +110,7 @@ def main():
     DataContext.get_current().enable_progress_bars = False
 
     import __ray_entry__ as entry_mod
+    from caligraph_ray.pipelines.queries import to_pandas
     qs = entry_mod.queries()
     oracles = entry_mod.oracle_sql()
 
@@ -122,7 +125,15 @@ def main():
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
-    failures = 0
+    verdicts = []
+
+    def record(name, status, ray_df=None, seconds=None, detail=''):
+        verdicts.append({'name': name, 'status': status,
+                         'rows': None if ray_df is None else len(ray_df),
+                         'seconds': None if seconds is None else round(seconds, 3),
+                         'digest': None if ray_df is None else digest(ray_df),
+                         'detail': detail})
+
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -131,26 +142,31 @@ def main():
             ray_df = to_pandas(fn(sf_dir))
         except Exception as e:
             print(f'{name:32s} RAY-ERROR {type(e).__name__}: {e}')
-            failures += 1
+            record(name, 'RAY-ERROR', detail=f'{type(e).__name__}: {e}')
             continue
         dt = time.time() - t0
         if name not in oracles:
             print(f'{name:32s} rows-only rows={len(ray_df)} ({dt:.1f}s)')
             if len(ray_df) == 0 and name != 'ngram_jaccard_pairs':
                 print(f'  WARNING: zero rows')
+            record(name, 'rows-only', ray_df, dt)
             continue
         try:
             sql_df = con.execute(oracles[name]).fetchdf()
         except Exception as e:
             print(f'{name:32s} SQL-ERROR {e}')
-            failures += 1
+            record(name, 'SQL-ERROR', ray_df, dt, str(e))
             continue
         verdict = compare(name, ray_df, sql_df)
         status = 'ok' if verdict == 'OK' else 'FAIL'
         print(f'{name:32s} {status:4s} rows={len(ray_df)} ({dt:.1f}s) {verdict if verdict != "OK" else ""}')
-        if verdict != 'OK':
-            failures += 1
+        record(name, status, ray_df, dt, '' if verdict == 'OK' else verdict)
     ray.shutdown()
+    if json_path:
+        with open(json_path, 'w') as f:
+            json.dump({'sf': sf_dir, 'queries': verdicts}, f, indent=1)
+            f.write('\n')
+    failures = sum(v['status'] not in ('ok', 'rows-only') for v in verdicts)
     sys.exit(1 if failures else 0)
 
 

@@ -102,7 +102,6 @@ def main():
 
     import pandas as pd
     from caligraph_ray.functions.metrics import ed_metrics
-    from caligraph_ray.pipelines import queries as Q
     from caligraph_ray.stages import relational as rel
 
     ev = rel.read_table(args.sf_dir, 'events',

@@ -4,7 +4,8 @@ The round-4→5 lesson baked into a tool: single-shot timings on this host
 swing ±35% between same-code runs, so a suspected regression must be
 replayed N times in a FRESH session before any code is blamed (the r4
 'funnel/graph regressions' were pure window noise — BASELINE.md round-5
-notes). Prints per-query median + min/max plus window health.
+notes). Each rep is timed the way bench.py times it, ``to_pandas(fn(sf))``.
+Prints per-query median + min/max plus window health.
 
     python tools/profile_query.py funnel_counts event_type_triangles
     python tools/profile_query.py --sf /root/testdata/sf0.01 --reps 5 q...
@@ -23,7 +24,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument('queries', nargs='+', help='names from queries.QUERIES')
+    ap.add_argument('queries', nargs='+', help='registered query names')
     ap.add_argument('--sf', default='/root/testdata/sf0.1')
     ap.add_argument('--reps', type=int, default=3)
     ap.add_argument('--cpus', type=int,
@@ -38,7 +39,8 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
     import ray.data as rd
 
-    from caligraph_ray.pipelines.queries import QUERIES
+    from caligraph_ray.pipelines.queries import queries, to_pandas
+    registry = queries()
 
     # untimed warm pass: worker spawn + imports must not land on rep 1
     rd.range(1000).map_batches(lambda b: b).count()
@@ -55,13 +57,13 @@ def main() -> int:
            'visible_cpus': len(os.sched_getaffinity(0)),
            'cum_steal_pct': steal, 'queries': {}, 'queries_spread': {}}
     for name in args.queries:
-        if name not in QUERIES:
+        if name not in registry:
             print(f'unknown query: {name}', file=sys.stderr)
             return 2
         ts = []
         for _ in range(args.reps):
             t0 = time.perf_counter()
-            QUERIES[name](args.sf)
+            to_pandas(registry[name](args.sf))
             ts.append(round(time.perf_counter() - t0, 3))
         ts.sort()
         out['queries'][name] = ts[len(ts) // 2]

@@ -1,13 +1,15 @@
 """Flagship KG-construction pipeline (SURVEY.md §7.2 end-to-end slice).
 
 read pages → map_batches(parse: text + listings + mentions) → flat item rows
-→ explode mentions → broadcast alias index (two-phase count + ray.put)
-→ actor-pool link → salted-groupby + connected-component canonicalization
-→ triple emission → dedup/sort → hash-partitioned Parquet.
+→ explode mentions → link (broadcast alias index + stateless lookup tasks,
+one norm_surface exchange that links each surface bucket, or the scored ED
+stack as warm stateless tasks) → canonicalization (surface closed form, or
+alignment edges + connected components + NASTyLinker split) → triple
+emission → dedup/sort → hash-partitioned Parquet.
 
 Exercises every execution pattern of the north star: stateless Arrow
-map_batches, broadcast small-side join, actor pool, salted shuffle, CC merge
-and a sort-materialize sink.
+map_batches, broadcast small-side join, per-process model caches, keyed
+exchanges, salted shuffle, CC merge and a sort-materialize sink.
 """
 
 from __future__ import annotations
@@ -118,10 +120,12 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     """pages Dataset (F1 schema) → deduped, sorted triples Dataset.
 
     ``linking``: 'broadcast' (index collected + ray.put once — fastest while
-    the surface dim fits the object-store budget), 'join' (co-partitioned
-    hash join, nothing driver-side — the 10^12-row path), 'scored' (the full
-    ED stack: bi-encoder embed → candidate top-k → cross-encoder rerank,
-    deterministic stand-ins behind the real actor interfaces — stages/ed.py),
+    the surface dim fits the object-store budget), 'join' (one norm_surface
+    exchange; each surface bucket counts, argmaxes and links its own rows,
+    nothing driver-side — the 10^12-row path), 'scored' (the full ED stack:
+    bi-encoder embed → candidate top-k → cross-encoder rerank, deterministic
+    stand-ins behind the real model interfaces, run as warm stateless tasks
+    — stages/ed.py),
     or 'auto' (pick broadcast/join by mention volume vs ALIAS_BROADCAST_LIMIT).
 
     ``stage_hook(name, build) -> Dataset`` intercepts every wide stage
@@ -297,9 +301,13 @@ def _ne_name(c) -> str:
 
 def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
                            total_rows: Optional[int] = None):
-    """The 10^12-row canonicalization tail: NOTHING dim-sized touches the
-    driver. Mention-level ``canonicalize()`` produces a (node, cluster,
-    entity|null) Dataset; cluster → canonical name resolves inside the
+    """The 10^12-row canonicalization tail: no surface-sized dim is
+    collected, unlike the surface closed form. Two things still reach the
+    driver inside ``canonicalize()``, each broadcast back once: the
+    connected-components node map (its forest tail finishes with driver
+    union-find, bounded by ``connected_components``' ``driver_limit``) and
+    the distinct entity names (``unique('entity')``). Mention-level
+    ``canonicalize()`` produces a (node, cluster, entity|null) Dataset; cluster → canonical name resolves inside the
     Dataset (entity name, else NE_<cluster>); subject mentions get their
     canon via ONE hash shuffle-join on mention_uid. Mentions absent from the
     alignment graph (no qualifying link, unique surface) are singletons —

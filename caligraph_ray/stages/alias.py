@@ -12,6 +12,11 @@ re-shipped per batch.
 Lookup side (J1, reference wikimarkup_parser.py:50-59): a stateless
 ``map_batches`` stage (``link_mentions``) resolving unlinked mentions to
 their most-frequent entity for the surface form.
+
+Scale path (``link_mentions_join``): no index object at all — one exchange
+on norm_surface, and each bucket counts, takes the argmax and links its own
+rows (``link_surface_bucket``), emitting the surface representative the
+alignment edges need on the way.
 """
 
 from __future__ import annotations
@@ -178,24 +183,24 @@ def build_alias_index_local(mentions_ds) -> AliasIndex:
     """Driver-side alias index dict (also the source of the known-entity
     dimension: every linked target appears as some surface's candidate).
 
-    Vectorized build: ONE global mergesort on (surface, freq desc, name)
-    replaces the per-key sorts, and numpy boundary slicing replaces the
+    Vectorized build: ONE NUL-safe global sort (``_alias_order``) replaces
+    the per-key sorts, and numpy boundary slicing replaces the
     per-row setdefault/append — the dict construction was a 13 s serial
     driver stall at 2M pages (fixed cost on every leg of the scaling
     ratio) and is ~6× cheaper this way."""
-    import numpy as np
-
     from .relational import collect_pandas
     df = collect_pandas(alias_counts(mentions_ds))
     if df.empty:
         return {}
-    df = df.sort_values(['norm_surface', 'freq', 'name'],
-                        ascending=[True, False, True], kind='mergesort')
-    surfaces = df['norm_surface'].to_numpy()
-    names = df['name'].to_numpy()
+    codes = pc.dictionary_encode(pa.array(df['norm_surface'], pa.string())) \
+        .indices.to_numpy()
     freqs = df['freq'].to_numpy().astype('int64')
-    starts = np.flatnonzero(np.r_[True, surfaces[1:] != surfaces[:-1]])
-    ends = np.r_[starts[1:], len(surfaces)]
+    o = _alias_order(codes, freqs, df['name'].to_numpy(dtype=object))
+    codes, freqs = codes[o], freqs[o]
+    surfaces = df['norm_surface'].to_numpy()[o]
+    names = df['name'].to_numpy()[o]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    ends = np.r_[starts[1:], len(codes)]
     index: AliasIndex = {}
     for s, e in zip(starts.tolist(), ends.tolist()):
         index[surfaces[s]] = list(zip(names[s:e].tolist(),
@@ -259,75 +264,74 @@ def link_mentions(mentions_ds, index_ref, concurrency: Optional[int] = None):
                                    batch_size=None)
 
 
-# --- scale path: the alias dim as a DATASET, linking as a hash join ---------
+# --- scale path: linking inside one norm_surface exchange -----------------
 
-def alias_argmax(counts_ds):
-    """(norm_surface, name, freq) Dataset → one row per surface:
-    (norm_surface, top_entity, top_score) where top = (freq desc, name asc)
-    argmax and top_score = top_freq / total_freq — exactly the fields
-    ``link_batch`` reads from the broadcast index, as a Dataset that never
-    touches the driver."""
+def _alias_order(codes: np.ndarray, freqs: np.ndarray,
+                 names: np.ndarray) -> np.ndarray:
+    """Candidate-row order (surface code, freq desc, name asc): each
+    surface's alias argmax heads its run. Names compare as Python strings;
+    pandas' multi-key sort factorizes them through a path that truncates at
+    an embedded NUL and orders NUL-distinct keys arbitrarily."""
+    o = np.argsort(names, kind='stable')
+    return o[np.lexsort((-freqs[o], codes[o]))]
+
+
+def link_surface_bucket(t: pa.Table, link: bool = True) -> pa.Table:
+    """A ``norm_surface`` bucket of mention rows (each surface whole) → the
+    rows plus ``surface_rep`` (the surface's min mention_uid; '' and null
+    are surfaces too) and, with ``link``, ``link_mentions``' (entity,
+    link_score): wikilinked rows keep their target at 1.0, the others take
+    the surface's alias argmax at freq/total (surface '' has none, as in
+    ``alias_counts``) or stay NIL. Groups are Arrow dictionary codes, which
+    hash bytes, so NUL-distinct keys never merge."""
+    surf = pc.dictionary_encode(t.column('norm_surface').combine_chunks(),
+                                null_encoding='encode')
+    code = surf.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    n_surf = len(surf.dictionary)
+    rep = np.full(n_surf, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(rep, code, t.column('mention_uid').to_numpy())
+    if link:
+        names = t.column('name').combine_chunks().cast(pa.string())
+        linked = pc.is_valid(names).to_numpy(zero_copy_only=False)
+        usable = pc.fill_null(pc.not_equal(surf.dictionary, ''), False) \
+            .to_numpy(zero_copy_only=False)
+        cand = linked & usable[code]
+        top_idx = np.full(n_surf, -1, dtype=np.int64)
+        top_score = np.zeros(n_surf)
+        name_dict = pa.array([], pa.string())
+        if cand.any():
+            enc = pc.dictionary_encode(names.filter(pa.array(cand)))
+            name_dict = enc.dictionary
+            n_names = len(name_dict)
+            pairs, freq = np.unique(
+                code[cand] * n_names + enc.indices.to_numpy(zero_copy_only=False),
+                return_counts=True)
+            ps, pn = pairs // n_names, pairs % n_names
+            total = np.zeros(n_surf, dtype=np.int64)
+            np.add.at(total, ps, freq)
+            o = _alias_order(ps, freq,
+                             np.asarray(name_dict.to_pylist(), dtype=object)[pn])
+            first = o[np.r_[True, ps[o][1:] != ps[o][:-1]]]
+            top_idx[ps[first]] = pn[first]
+            top_score[ps[first]] = freq[first] / total[ps[first]]
+        top_name = name_dict.take(pa.array(top_idx, mask=top_idx < 0))
+        t = t.append_column('entity', pc.if_else(
+            pa.array(linked), names, top_name.take(pa.array(code))))
+        t = t.append_column('link_score', pa.array(
+            np.where(linked, 1.0, top_score[code]), pa.float64()))
+    return t.append_column('surface_rep', pa.array(rep[code], pa.int64()))
+
+
+def link_mentions_join(mentions_ds):
+    """Linking WITHOUT a driver-side index, in ONE norm_surface exchange
+    whose buckets link their own rows (``link_surface_bucket``): exactly
+    the ``link_mentions`` output plus ``surface_rep``, from which
+    ``canonicalize.build_alignment_edges`` builds the star edges with no
+    further exchange. The 10^12-row path the broadcast index cannot serve
+    (reference resource.py:173-194 semantics, distributed)."""
     from .relational import bucketed_map
-
-    def top(bucket):
-        tot = bucket.groupby('norm_surface', sort=False)['freq'].sum().rename('_total')
-        s = bucket.sort_values(['norm_surface', 'freq', 'name'],
-                               ascending=[True, False, True], kind='mergesort')
-        s = s.drop_duplicates('norm_surface', keep='first')
-        s = s.merge(tot, left_on='norm_surface', right_index=True)
-        s['top_score'] = s['freq'] / s['_total']
-        return s[['norm_surface', 'name', 'top_score']] \
-            .rename(columns={'name': 'top_entity'})
-
-    return bucketed_map(counts_ds, ['norm_surface'], top)
-
-
-def link_mentions_join(mentions_ds, argmax_ds=None):
-    """Linking WITHOUT a driver-side index: mentions are hash-joined with
-    the per-surface argmax Dataset on norm_surface (shuffle_join — both
-    sides co-partitioned, nothing collected). Produces exactly the
-    ``link_mentions`` output: wikilinked mentions keep their target (score
-    1.0); others take the surface's most frequent entity with score
-    freq/total; unknown surfaces stay NIL. This is the 10^12-row path the
-    broadcast index cannot serve (reference resource.py:173-194 semantics,
-    distributed)."""
-    import numpy as np
-    import pandas as pd
-    from .relational import shuffle_join
-
-    if argmax_ds is None:
-        argmax_ds = alias_argmax(alias_counts(mentions_ds))
-    # materialize BEFORE the emptiness probe: schema() on a lazy Dataset
-    # executes it, and the join below would then re-execute the whole
-    # argmax pipeline a second time (the probe must not double the work —
-    # the argmax dim is surface-sized, safe to pin)
-    argmax_ds = argmax_ds.materialize()
-    if argmax_ds.schema() is None:
-        # zero wikilinked mentions anywhere → empty, schema-less argmax
-        # (engine-wide empty contract); every mention is its own evidence:
-        # keep wikilink targets at score 1.0, everything else stays NIL
-        def nil(batch: pd.DataFrame) -> pd.DataFrame:
-            linked = batch['name'].notna()
-            batch['entity'] = np.where(linked, batch['name'], None)
-            batch['link_score'] = np.where(linked, 1.0, 0.0)
-            return batch
-        return mentions_ds.map_batches(nil, batch_format='pandas',
-                                       batch_size=TOKEN_BATCH_SIZE)
-    joined = shuffle_join(mentions_ds, argmax_ds,
-                          'norm_surface', 'norm_surface', how='left')
-
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        linked = batch['name'].notna()
-        has_cand = batch['top_entity'].notna()
-        batch['entity'] = np.where(linked, batch['name'],
-                                   np.where(has_cand, batch['top_entity'], None))
-        batch['link_score'] = np.where(
-            linked, 1.0,
-            np.where(has_cand, batch['top_score'].fillna(0.0).astype(float), 0.0))
-        return batch.drop(columns=['top_entity', 'top_score'])
-
-    return joined.map_batches(finish, batch_format='pandas',
-                              batch_size=TOKEN_BATCH_SIZE)
+    return bucketed_map(mentions_ds, ['norm_surface'], link_surface_bucket,
+                        batch_format='pyarrow')
 
 
 def build_alias_index_sharded(mentions_ds, n_shards: int = 16) -> List["ray.ObjectRef"]:

@@ -38,9 +38,9 @@ from ..config import (HOT_KEY_SALT_BUCKETS, HOT_KEY_THRESHOLD,
                       MM_SCORE, PATH_THRESHOLD, TOKEN_BATCH_SIZE)
 from ..functions.hashing import stable_hash64
 
-# mention volume up to which the per-surface representative dict is
-# broadcast instead of a salted groupby (same budget class as ST9's alias
-# index; beyond it the surface dim may not fit one object)
+# mention volume up to which rows without a ``surface_rep`` get it from one
+# norm_surface exchange instead of a salted groupby (beyond it a hot
+# surface may not fit one bucket)
 SURFACE_BROADCAST_LIMIT = 50_000_000
 
 # driver-dim budget for the surface-collapsed closed form: the MEASURED
@@ -72,15 +72,31 @@ def entity_node_id(name: str) -> int:
 EDGE_SCHEMA = pa.schema([('src', pa.int64()), ('dst', pa.int64()), ('weight', pa.float64())])
 
 
-def _me_edges_batch(batch: pa.Table, me_threshold: float) -> pa.Table:
-    """mention→entity edges from linked mentions (stateless, vectorized mask)."""
-    df = batch.select(['mention_uid', 'entity', 'link_score']).to_pandas()
-    df = df[(df['entity'].notna()) & (df['link_score'] > me_threshold)]
-    return pa.Table.from_pydict({
-        'src': df['mention_uid'].to_numpy(dtype=np.int64),
-        'dst': np.fromiter((entity_node_id(e) for e in df['entity']), dtype=np.int64, count=len(df)),
-        'weight': np.minimum(df['link_score'].to_numpy(), 1.0),
-    }, schema=EDGE_SCHEMA)
+def _alignment_edges_batch(batch: pa.Table, me_threshold: float,
+                           mm_score: Optional[float]) -> pa.Table:
+    """Linked mention rows → mention→entity edges (link_score >
+    me_threshold) plus, given ``mm_score``, star edges ``surface_rep →
+    mention_uid`` where the two differ. Entity ids hash once per distinct
+    entity."""
+    uid = batch.column('mention_uid').to_numpy()
+    ent = batch.column('entity').combine_chunks().cast(pa.string())
+    score = batch.column('link_score').to_numpy()   # null → NaN: no edge
+    keep = pc.is_valid(ent).to_numpy(zero_copy_only=False) & (score > me_threshold)
+    enc = pc.dictionary_encode(ent.filter(pa.array(keep)))
+    ent_ids = np.array([entity_node_id(e) for e in enc.dictionary.to_pylist()],
+                       dtype=np.int64)
+    src = [uid[keep]]
+    dst = [ent_ids[enc.indices.to_numpy(zero_copy_only=False)]]
+    weight = [np.minimum(score[keep], 1.0)]
+    if mm_score is not None:
+        rep = batch.column('surface_rep').to_numpy()
+        star = rep != uid
+        src.append(rep[star])
+        dst.append(uid[star])
+        weight.append(np.full(int(star.sum()), mm_score))
+    return pa.Table.from_arrays(
+        [pa.array(np.concatenate(a), t.type) for a, t in
+         zip((src, dst, weight), EDGE_SCHEMA)], schema=EDGE_SCHEMA)
 
 
 def _mm_edges_group(group: pd.DataFrame, mm_score: float, hot_threshold: int) -> pd.DataFrame:
@@ -123,46 +139,32 @@ def build_alignment_edges(linked_mentions_ds,
                           total_rows: Optional[int] = None):
     """linked mention rows → undirected edge Dataset (src, dst, weight).
 
-    Pass ``total_rows`` (free on a materialized input) to skip the
-    hot-surface detection shuffle entirely when no surface can exceed the
-    salting threshold."""
-    me = linked_mentions_ds.map_batches(
-        lambda b: _me_edges_batch(b, me_threshold), batch_format='pyarrow',
-        batch_size=TOKEN_BATCH_SIZE)
+    Rows carrying ``surface_rep`` (``link_mentions_join`` emits it) give
+    both edge kinds in ONE zero-shuffle ``map_batches``. Rows without it get
+    it from ``alias.link_surface_bucket`` in one ``bucketed_map`` while
+    ``total_rows`` (free on a materialized input) is unknown or within
+    SURFACE_BROADCAST_LIMIT, else their stars come from a salted groupby. A
+    schema unknown without executing counts as no ``surface_rep``."""
+    def edges(ds, stars: bool):
+        return ds.map_batches(
+            lambda b: _alignment_edges_batch(b, me_threshold,
+                                             mm_score if stars else None),
+            batch_format='pyarrow', batch_size=None)
+
     if mm_score <= mm_threshold:
-        return me
-
-    # FAST PATH (surface dim fits the broadcast budget — same feasibility as
-    # the alias index itself): per-surface min mention_uid via a two-phase
-    # aggregate, then star edges emitted in a zero-shuffle map_batches.
-    # Head surfaces cost one partial row per batch, so no salting is needed.
-    if total_rows is None or total_rows <= SURFACE_BROADCAST_LIMIT:
-        from .relational import collect_rows, two_phase_pandas_agg
-        reps_rows = collect_rows(two_phase_pandas_agg(
-            linked_mentions_ds.select_columns(['mention_uid', 'norm_surface']),
-            ['norm_surface'], {'rep': ('mention_uid', 'min')}))
-        reps = {r['norm_surface']: int(r['rep']) for r in reps_rows}
-        reps_ref = ray.put(reps)
-
-        def star_edges(batch: pa.Table) -> pa.Table:
-            rd_ = ray.get(reps_ref)
-            uids = batch.column('mention_uid').to_numpy()
-            surfs = batch.column('norm_surface').to_pylist()
-            src, dst = [], []
-            for uid, s in zip(uids, surfs):
-                rep = rd_.get(s)
-                if rep is not None and rep != uid:
-                    src.append(rep)
-                    dst.append(int(uid))
-            return pa.Table.from_pydict({
-                'src': pa.array(src, pa.int64()),
-                'dst': pa.array(dst, pa.int64()),
-                'weight': pa.array([mm_score] * len(src), pa.float64()),
-            }, schema=EDGE_SCHEMA)
-
-        mm_fast = linked_mentions_ds.select_columns(['mention_uid', 'norm_surface']) \
-            .map_batches(star_edges, batch_format='pyarrow', batch_size=TOKEN_BATCH_SIZE)
-        return me.union(mm_fast)
+        return edges(linked_mentions_ds, False)
+    schema = linked_mentions_ds.schema(fetch_if_missing=False)
+    has_rep = schema is not None and 'surface_rep' in schema.names
+    if has_rep or total_rows is None or total_rows <= SURFACE_BROADCAST_LIMIT:
+        if not has_rep:
+            from .alias import link_surface_bucket
+            from .relational import bucketed_map
+            linked_mentions_ds = bucketed_map(
+                linked_mentions_ds.select_columns(
+                    ['mention_uid', 'norm_surface', 'entity', 'link_score']),
+                ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
+                batch_format='pyarrow')
+        return edges(linked_mentions_ds, True)
 
     # LARGE-CARDINALITY PATH: salted groupby (hot keys split into sub-buckets
     # re-bridged by one star edge per bucket); detect hot surfaces with a
@@ -214,7 +216,7 @@ def build_alignment_edges(linked_mentions_ds,
                 'weight': pa.array([mm_score] * len(bridge_src), pa.float64()),
             }, schema=EDGE_SCHEMA))
             mm = mm.union(bridges)
-    return me.union(mm)
+    return edges(linked_mentions_ds, False).union(mm)
 
 
 # --- connected components --------------------------------------------------

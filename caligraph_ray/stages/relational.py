@@ -404,6 +404,8 @@ def _small_exchange(mat_ds, bucket_fn, coarse: int, batch_format: str):
                 outs.append(r)
         if not outs:
             return pd.DataFrame()
+        if isinstance(outs[0], pa.Table):
+            return pa.concat_tables(outs, promote_options='default')
         return pd.concat(outs, ignore_index=True)
 
     refs = [reduce_part.remote(i, *block_refs) for i in range(n_parts)]
@@ -417,10 +419,10 @@ def bucket_exchange(ds, bucket_fn, coarse: Optional[int] = None,
     Arrow or pandas — each block keeps the format its keying stage
     emitted. ``bucket_fn`` receives every coarse bucket, minus ``_coarse``,
     in ``batch_format`` (``'pandas'`` or ``'pyarrow'``) and returns a
-    DataFrame (or None). Splitting a tagged Arrow union into sides before
-    any pandas conversion keeps null-padded int64 columns exact (see
-    ``shuffle_join``, ``stages/temporal``). Regimes: see
-    ``SMALL_EXCHANGE_BYTES``."""
+    DataFrame, a ``pa.Table`` (one of the two throughout) or None.
+    Splitting a tagged Arrow union into sides before any pandas conversion
+    keeps null-padded int64 columns exact (see ``shuffle_join``,
+    ``stages/temporal``). Regimes: see ``SMALL_EXCHANGE_BYTES``."""
     if coarse is None:
         coarse = default_coarse()
     mat = ds.materialize()
@@ -440,10 +442,12 @@ def bucket_exchange(ds, bucket_fn, coarse: Optional[int] = None,
         lambda g: bucket_fn(_without_coarse(g)), batch_format=batch_format)
 
 
-def bucketed_map(ds, keys: Sequence[str], bucket_fn, coarse: Optional[int] = None):
+def bucketed_map(ds, keys: Sequence[str], bucket_fn, coarse: Optional[int] = None,
+                 batch_format: str = 'pandas'):
     """Shuffle rows once on hash(keys)%coarse and apply ``bucket_fn`` to each
-    coarse bucket (a DataFrame containing complete groups). The bucket fn
-    should use *vectorized* pandas groupby ops — this is the fast path for
+    coarse bucket (a DataFrame, or a ``pa.Table`` for
+    ``batch_format='pyarrow'``, containing complete groups). The bucket fn
+    should use *vectorized* groupby ops — this is the fast path for
     high-cardinality keys where per-group Python calls dominate.
 
     The coarse key is computed ONCE in a map stage fused into the
@@ -475,7 +479,8 @@ def bucketed_map(ds, keys: Sequence[str], bucket_fn, coarse: Optional[int] = Non
 
     keyed = ds.map_batches(add_bucket, batch_format='pandas',
                            batch_size=AGG_BATCH_SIZE)
-    return bucket_exchange(keyed, bucket_fn, coarse=coarse)
+    return bucket_exchange(keyed, bucket_fn, coarse=coarse,
+                           batch_format=batch_format)
 
 
 def _nul_escape(v):

@@ -62,6 +62,16 @@ def test_flagship_surface_path_matches_oracle_past_fixture(ray_session):
     assert _run(table, canon='surface') == oracle_triples(pages)
 
 
+def test_flagship_join_path_matches_oracle_past_fixture(ray_session):
+    """The join-linked, mention-level path past the fixture: 120 pages
+    (seed 42) carry 92 URLs, so mention uids collide across re-fetches and
+    one surface can hold a uid twice."""
+    table = generate_pages_table(120, seed=42)
+    pages = list(zip(table.column('url').to_pylist(),
+                     table.column('html').to_pylist()))
+    assert _run(table, linking='join', canon='join') == oracle_triples(pages)
+
+
 def test_flagship_scored_sharded_gate_matches_broadcast(
         ray_session, small_corpus, monkeypatch):
     """Forced-low-gate run of the scored-ED path: SCORED_NAME_LIMIT=0 makes

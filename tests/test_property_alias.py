@@ -3,11 +3,12 @@ scale regimes must agree exactly:
 
 * build_alias_index_local (driver dict) ≡ merged build_alias_index_sharded
   shards (each surface in exactly one shard, same sorted candidate lists).
-* link_mentions (broadcast index lookup) ≡ link_mentions_join (shuffle
-  join against the alias_argmax Dataset) — identical (entity, link_score)
-  per mention, including wikilinked rows, NIL surfaces and ties.
-* alias_argmax ≡ a Counter reference with the (freq desc, name asc)
-  tie-break.
+* link_mentions (broadcast index lookup) ≡ link_mentions_join (one
+  norm_surface exchange, each bucket linked by link_surface_bucket) —
+  identical (entity, link_score) per mention, including wikilinked rows,
+  NIL surfaces and ties.
+* the per-surface argmax of link_surface_bucket ≡ a Counter reference with
+  the (freq desc, name asc) tie-break.
 """
 
 import numpy as np
@@ -90,14 +91,22 @@ def test_broadcast_and_join_linking_agree(ray_session, df):
 @SETTINGS
 @given(mentions_frame())
 def test_alias_argmax_matches_counter(ray_session, df):
+    """One unlinked probe row per surface reads that surface's argmax off
+    link_mentions_join: (top name, top freq / total), or NIL."""
     import ray.data as rd
-    from caligraph_ray.stages.alias import alias_argmax, alias_counts
-    got_df = alias_argmax(alias_counts(
-        rd.from_pandas(df).repartition(2))).to_pandas()
-    got = {} if got_df.empty else \
-        {r['norm_surface']: (r['top_entity'], round(float(r['top_score']), 12))
-         for _, r in got_df.iterrows()}
-    want = {}
+    from caligraph_ray.stages.alias import link_mentions_join
+    probes = pd.DataFrame({'mention_uid': [1000 + i for i in range(len(_SURFACES))],
+                           'norm_surface': _SURFACES,
+                           'name': [None] * len(_SURFACES)})
+    got_df = link_mentions_join(
+        rd.from_pandas(pd.concat([df, probes], ignore_index=True))
+        .repartition(2)).to_pandas()
+    got_df = got_df[got_df['mention_uid'] >= 1000]
+    got = {r['norm_surface']:
+           (r['entity'] if pd.notna(r['entity']) else None,
+            round(float(r['link_score']), 12))
+           for _, r in got_df.iterrows()}
+    want = {s: (None, 0.0) for s in _SURFACES}
     for s, cands in _ref_index(df).items():
         total = sum(c for _, c in cands)
         want[s] = (cands[0][0], round(cands[0][1] / total, 12))

@@ -3,9 +3,11 @@
 read pages → map_batches(parse: text + listings + mentions) → flat item rows
 → explode mentions → link (broadcast alias index + stateless lookup tasks,
 one norm_surface exchange that links each surface bucket, or the scored ED
-stack as warm stateless tasks) → canonicalization (surface closed form, or
-alignment edges + connected components + NASTyLinker split) → triple
-emission → dedup/sort → hash-partitioned Parquet.
+stack as warm stateless tasks) → canonicalization and subject-triple
+emission (surface closed form, or alignment edges + connected components,
+then one component-keyed exchange that splits each component NASTyLinker
+style and emits its subject mentions' triples) → dedup/sort →
+hash-partitioned Parquet.
 
 Exercises every execution pattern of the north star: stateless Arrow
 map_batches, broadcast small-side join, per-process model caches, keyed
@@ -22,7 +24,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..config import (MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
-                      MM_SCORE, PATH_THRESHOLD, TOKEN_BATCH_SIZE)
+                      MM_SCORE, PATH_THRESHOLD)
 from ..stages.alias import (build_alias_index, build_alias_index_local,
                             entity_names_from_index, explode_mentions,
                             link_mentions)
@@ -302,55 +304,31 @@ def _ne_name(c) -> str:
 def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
                            total_rows: Optional[int] = None):
     """The 10^12-row canonicalization tail: no surface-sized dim is
-    collected, unlike the surface closed form. Two things still reach the
-    driver inside ``canonicalize()``, each broadcast back once: the
-    connected-components node map (its forest tail finishes with driver
-    union-find, bounded by ``connected_components``' ``driver_limit``) and
-    the distinct entity names (``unique('entity')``). Mention-level
-    ``canonicalize()`` produces a (node, cluster, entity|null) Dataset; cluster → canonical name resolves inside the
-    Dataset (entity name, else NE_<cluster>); subject mentions get their
-    canon via ONE hash shuffle-join on mention_uid. Mentions absent from the
-    alignment graph (no qualifying link, unique surface) are singletons —
-    the left join's null canon falls back to NE_<own uid>, exactly the
-    surface path's ``rest`` branch. Label parity with the surface path is
-    pinned by test_flagship's forced-path comparison."""
-    from ..stages.canonicalize import canonicalize
-    from ..stages.relational import shuffle_join
+    collected, unlike the surface closed form. Only the
+    connected-components node map reaches the driver (its size bounded by
+    ``connected_components``' ``driver_limit``) and is broadcast back
+    once. The subject mentions ride ``canonicalize()``'s component-keyed
+    exchange as carried rows, so each bucket splits its components, names
+    the clusters and emits its subjects' triples in one pass: a cluster's
+    canonical name is its entity name, else NE_<cluster>. Mentions absent
+    from the alignment graph (no qualifying link, unique surface) are
+    singletons named NE_<own uid>, exactly the surface path's ``rest``
+    branch. Label parity with the surface path is pinned by test_flagship's
+    forced-path comparison."""
+    subjects = linked.map_batches(
+        lambda t: t.filter(pc.equal(t.column('is_subject'), pa.scalar(True)))
+        .select(['mention_uid', 'url', 'label']), batch_format='pyarrow')
 
-    cl = canonicalize(linked, me_threshold, mm_threshold,
-                      path_threshold=path_threshold, total_rows=total_rows)
+    def emit(t: pa.Table) -> pa.Table:
+        canon = [e if e is not None else _ne_name(c) for e, c in
+                 zip(t.column('entity').to_pylist(), t.column('cluster').to_pylist())]
+        return _emit_subject_pairs(pd.Series(canon, dtype=object),
+                                   t.column('url').to_pandas(),
+                                   t.column('label').to_pandas())
 
-    def name_of(batch: pa.Table) -> pa.Table:
-        ents = batch.column('entity').to_pylist()
-        clus = batch.column('cluster').to_pylist()
-        canon = [e if e is not None else _ne_name(c)
-                 for e, c in zip(ents, clus)]
-        return pa.Table.from_pydict({
-            'node': batch.column('node').cast(pa.int64()),
-            '_canon': pa.array(canon, pa.string())})
-
-    cmap = cl.map_batches(name_of, batch_format='pyarrow')
-    subs = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column('is_subject'), pa.scalar(True))),
-        batch_format='pyarrow').select_columns(['mention_uid', 'url', 'label'])
-    # cmap is mention-scale (one row per alignment-graph node): declare it
-    # fact-sized so the join streams it instead of materializing to measure
-    joined = shuffle_join(subs, cmap, left_on='mention_uid', right_on='node',
-                          how='left', right_hint='fact')
-
-    def emit(batch: pd.DataFrame) -> pa.Table:
-        if not len(batch):
-            return pa.Table.from_pydict(
-                {'subj': [], 'pred': [], 'obj': [], 'is_literal': []},
-                schema=TRIPLES_SCHEMA)
-        canon = batch['_canon'].astype(object)
-        miss = canon.isna()
-        if miss.any():
-            canon = canon.mask(miss, batch['mention_uid'][miss].map(_ne_name))
-        return _emit_subject_pairs(canon, batch['url'], batch['label'])
-
-    return joined.map_batches(emit, batch_format='pandas',
-                              batch_size=TOKEN_BATCH_SIZE)
+    return canonicalize(linked, me_threshold, mm_threshold,
+                        path_threshold=path_threshold, total_rows=total_rows,
+                        carried=subjects, emit=emit)
 
 
 def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
@@ -362,12 +340,12 @@ def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
 
     ``canon``: 'surface' (closed-form collapsed path; driver holds the
     surface dim — fastest while it fits), 'join' (fully distributed
-    canonicalize() + hash join — the scale path), or 'auto': try the surface
-    path under a MEASURED dim-cardinality budget and fall back to the join
-    path when canonicalize_surface raises SurfaceDimOverBudget. Single-entity
-    components resolve via a broadcast surface→label dict (zero shuffle);
-    only ambiguous multi-entity components go through the mention-level
-    split."""
+    canonicalize() with in-bucket subject emission — the scale path), or
+    'auto': try the surface path under a MEASURED dim-cardinality budget
+    and fall back to the join path when canonicalize_surface raises
+    SurfaceDimOverBudget. Single-entity components resolve via a broadcast
+    surface→label dict (zero shuffle); only ambiguous multi-entity
+    components go through the mention-level split."""
     from ..stages.canonicalize import (SURFACE_DIM_BUDGET,
                                        SurfaceDimOverBudget,
                                        canonicalize_surface)
@@ -389,7 +367,7 @@ def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
         import logging
         logging.getLogger('caligraph_ray.flagship').warning(
             'surface dim over budget (%s); routing to the distributed '
-            'canonicalize() + labels-join path', e)
+            'canonicalize() component-exchange path', e)
         return _with_cats(_assemble_triples_join(
             linked, me_threshold, mm_threshold, path_threshold, total_rows))
     if ent_names is None:

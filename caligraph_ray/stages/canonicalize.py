@@ -10,14 +10,19 @@ Graph model (NASTyLinker, reference greedy_clustering.py:26-94):
     representative, so a head surface ('United States') never builds a
     quadratic group or a single giant task.
 
-Connected components run as repeated block-local union-find contractions
-(per-partition spanning forests, the distributed analogue of the
-reference's bottom-up clustering D5, matching/bottomup_clustering.py:33-83):
-each pass shrinks every block of edges to ≤ nodes-1 forest edges, a
-shuffle-repartition remixes blocks, and the tail (provably ≤ #distinct
-nodes - #components edges) finishes with driver union-find. Components with
-more than one entity node are split NASTyLinker-style by multi-source
-Dijkstra over edge weights with path score threshold (greedy_clustering.py:83-94).
+Connected components measure the edge count first: edges within the
+driver limit go straight to driver union-find. Above it they run as
+repeated block-local union-find contractions (per-partition spanning
+forests, the distributed analogue of the reference's bottom-up clustering
+D5, matching/bottomup_clustering.py:33-83): each pass shrinks every block
+of edges to ≤ nodes-1 forest edges, a shuffle-repartition remixes blocks,
+and the tail (provably ≤ #distinct nodes - #components edges) finishes
+with driver union-find. One exchange keyed on the component then splits
+each component with more than one entity node NASTyLinker-style, by
+multi-source Dijkstra over edge weights with path score threshold
+(greedy_clustering.py:83-94), and names its entity clusters from the
+entity names its mention→entity edges carry; rows carried along (the
+flagship's subject mentions) are resolved in the same bucket.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ SURFACE_BROADCAST_LIMIT = 50_000_000
 # number of per-surface stats rows (distinct surfaces + qualifying
 # (surface, entity) pairs) that may be collected to the driver. Above it
 # canonicalize_surface raises SurfaceDimOverBudget and callers route to the
-# fully-distributed canonicalize() + labels-join path (flagship
-# _assemble_triples does this automatically).
+# fully-distributed canonicalize() path (flagship _assemble_triples does
+# this automatically).
 SURFACE_DIM_BUDGET = 20_000_000
 
 
@@ -59,7 +64,7 @@ class SurfaceDimOverBudget(Exception):
         self.measured, self.budget = measured, budget
         super().__init__(
             f'surface dim has {measured} rows > budget {budget}; use the '
-            f'distributed canonicalize() + labels-join path')
+            f'distributed canonicalize() path')
 
 
 def entity_node_id(name: str) -> int:
@@ -69,7 +74,15 @@ def entity_node_id(name: str) -> int:
 
 # --- edge generation -------------------------------------------------------
 
-EDGE_SCHEMA = pa.schema([('src', pa.int64()), ('dst', pa.int64()), ('weight', pa.float64())])
+EDGE_SCHEMA = pa.schema([('src', pa.int64()), ('dst', pa.int64()),
+                         ('weight', pa.float64()), ('ent', pa.string())])
+
+
+def _as_edges(t: pa.Table) -> pa.Table:
+    """(src, dst, weight) rows → EDGE_SCHEMA with a null ``ent``."""
+    return pa.Table.from_arrays(
+        [t.column(f.name).cast(f.type) for f in list(EDGE_SCHEMA)[:3]]
+        + [pa.nulls(t.num_rows, pa.string())], schema=EDGE_SCHEMA)
 
 
 def _alignment_edges_batch(batch: pa.Table, me_threshold: float,
@@ -77,26 +90,31 @@ def _alignment_edges_batch(batch: pa.Table, me_threshold: float,
     """Linked mention rows → mention→entity edges (link_score >
     me_threshold) plus, given ``mm_score``, star edges ``surface_rep →
     mention_uid`` where the two differ. Entity ids hash once per distinct
-    entity."""
+    entity; each mention→entity edge carries its entity name in ``ent``
+    (null on star edges), so a component names its own entity clusters."""
     uid = batch.column('mention_uid').to_numpy()
     ent = batch.column('entity').combine_chunks().cast(pa.string())
     score = batch.column('link_score').to_numpy()   # null → NaN: no edge
     keep = pc.is_valid(ent).to_numpy(zero_copy_only=False) & (score > me_threshold)
-    enc = pc.dictionary_encode(ent.filter(pa.array(keep)))
+    names = ent.filter(pa.array(keep))
+    enc = pc.dictionary_encode(names)
     ent_ids = np.array([entity_node_id(e) for e in enc.dictionary.to_pylist()],
                        dtype=np.int64)
     src = [uid[keep]]
     dst = [ent_ids[enc.indices.to_numpy(zero_copy_only=False)]]
     weight = [np.minimum(score[keep], 1.0)]
+    ents = [names]
     if mm_score is not None:
         rep = batch.column('surface_rep').to_numpy()
         star = rep != uid
         src.append(rep[star])
         dst.append(uid[star])
         weight.append(np.full(int(star.sum()), mm_score))
+        ents.append(pa.nulls(int(star.sum()), pa.string()))
     return pa.Table.from_arrays(
         [pa.array(np.concatenate(a), t.type) for a, t in
-         zip((src, dst, weight), EDGE_SCHEMA)], schema=EDGE_SCHEMA)
+         zip((src, dst, weight), EDGE_SCHEMA)] + [pa.concat_arrays(ents)],
+        schema=EDGE_SCHEMA)
 
 
 def _mm_edges_group(group: pd.DataFrame, mm_score: float, hot_threshold: int) -> pd.DataFrame:
@@ -189,7 +207,7 @@ def build_alignment_edges(linked_mentions_ds,
     ds = _salt_hot_surfaces(ds, hot)
     mm = grouped_map(ds, ['norm_surface', 'salt'],
                      lambda g: _mm_edges_group(g, mm_score, hot_threshold))
-    mm = mm.map_batches(lambda t: t.cast(EDGE_SCHEMA), batch_format='pyarrow')
+    mm = mm.map_batches(_as_edges, batch_format='pyarrow')
 
     # star edges re-connecting salted sub-buckets of the same hot surface:
     # bucket representative = min mention_uid per (surface, salt) — link salt>0
@@ -210,11 +228,9 @@ def build_alignment_edges(linked_mentions_ds,
                 bridge_dst.append(rep)
         if bridge_src:
             import ray.data as rd
-            bridges = rd.from_arrow(pa.Table.from_pydict({
-                'src': pa.array(bridge_src, pa.int64()),
-                'dst': pa.array(bridge_dst, pa.int64()),
-                'weight': pa.array([mm_score] * len(bridge_src), pa.float64()),
-            }, schema=EDGE_SCHEMA))
+            bridges = rd.from_arrow(_as_edges(pa.Table.from_pydict({
+                'src': bridge_src, 'dst': bridge_dst,
+                'weight': [mm_score] * len(bridge_src)})))
             mm = mm.union(bridges)
     return edges(linked_mentions_ds, False).union(mm)
 
@@ -359,16 +375,32 @@ def connected_components_ds(edges_ds, max_rounds: int = 64):
         f'connected_components instead.')
 
 
+def _driver_components(mat) -> Dict[int, int]:
+    """Driver union-find over a materialized edge Dataset's src/dst columns
+    (Arrow or pandas blocks) → {node: label} for every non-root node."""
+    from .relational import _block_refs
+    uf = _UnionFind()
+    for b in ray.get(_block_refs(mat)):
+        if len(b):
+            for a, c in zip(np.asarray(b['src'], np.int64).tolist(),
+                            np.asarray(b['dst'], np.int64).tolist()):
+                uf.union(a, c)
+    return {n: uf.find(n) for n in list(uf.parent)}
+
+
 def connected_components(edges_ds, contraction_passes: int = 2,
                          driver_limit: int = 5_000_000,
                          fan_in: Optional[int] = None,
                          max_passes: int = 32) -> Dict[int, int]:
-    """Edge Dataset → {node: component_label} (label = min node id).
+    """Edge Dataset → {node: component_label} (label = min node id; roots
+    are absent, so consumers resolve with ``labels.get(n, n)``).
 
-    Distributed contraction passes bound the driver tail to ≤ (#nodes -
-    #components) forest edges; each pass halves the partition count
-    (geometric fan-in from ``fan_in``, default = current block count), so
-    chains collapse geometrically (pointer-jumping analogue).
+    The materialized edge count is measured first: within ``driver_limit``
+    the edges go straight to driver union-find. Only above it do the
+    distributed contraction passes run; they bound the driver tail to ≤
+    (#nodes - #components) forest edges, each pass halving the partition
+    count (geometric fan-in from ``fan_in``, default = current block
+    count), so chains collapse geometrically (pointer-jumping analogue).
 
     ADAPTIVE: after the mandatory ``contraction_passes``, the tail is
     measured each pass (edge count, then distinct-edge count — a node seen
@@ -380,7 +412,10 @@ def connected_components(edges_ds, contraction_passes: int = 2,
     RETURNED node map is the same size — a tail genuinely over budget means
     the caller must raise ``driver_limit`` or consume components
     distributed) or ``max_passes`` is exhausted."""
-    ds = edges_ds.select_columns(['src', 'dst'])
+    mat = edges_ds.materialize()
+    if mat.count() <= driver_limit:
+        return _driver_components(mat)
+    ds = mat.select_columns(['src', 'dst'])
     if fan_in is None:
         try:
             fan_in = max(2, ds.num_blocks())
@@ -417,12 +452,7 @@ def connected_components(edges_ds, contraction_passes: int = 2,
                 f'— it is (close to) the true forest, and the returned node '
                 f'map would be the same size: raise driver_limit or consume '
                 f'components distributed.')
-    from .relational import collect_rows
-    rows = collect_rows(ds)
-    uf = _UnionFind()
-    for r in rows:
-        uf.union(int(r['src']), int(r['dst']))
-    return {n: uf.find(n) for n in list(uf.parent)}
+    return _driver_components(ds)
 
 
 # --- NASTyLinker component splitting --------------------------------------
@@ -478,16 +508,33 @@ def _split_component(nodes: List[int], edges: List[Tuple[int, int, float]],
     return assignment
 
 
-def split_components(edges_with_labels: pd.DataFrame, path_threshold: float = PATH_THRESHOLD) -> pd.DataFrame:
-    """Per-component splitting (map_groups body): input columns
-    (src, dst, weight, component) of ONE component → (node, cluster)."""
-    edges = list(zip(edges_with_labels['src'].astype(np.int64),
-                     edges_with_labels['dst'].astype(np.int64),
-                     edges_with_labels['weight'].astype(float)))
-    nodes = sorted({n for e in edges for n in e[:2]})
-    assignment = _split_component(nodes, edges, path_threshold)
-    return pd.DataFrame({'node': list(assignment.keys()),
-                         'cluster': list(assignment.values())})
+def _label_of(labels: Dict[int, int], x: np.ndarray) -> np.ndarray:
+    """``labels.get(n, n)`` for every n of ``x``."""
+    return np.fromiter((labels.get(n, n) for n in x.tolist()), np.int64,
+                       count=len(x))
+
+
+def _split_bucket(edges: pa.Table, path_threshold: float):
+    """One exchange bucket's edge rows (``_comp`` + EDGE_SCHEMA) →
+    (node → cluster, entity node id → name): ``_split_component`` per
+    component, names off the mention→entity edges' ``ent``."""
+    comp = edges.column('_comp').to_numpy()
+    order = np.argsort(comp, kind='stable')
+    comp = comp[order]
+    src, dst, weight = (edges.column(c).to_numpy()[order].tolist()
+                        for c in ('src', 'dst', 'weight'))
+    cuts = (np.flatnonzero(np.diff(comp)) + 1).tolist()
+    assignment: Dict[int, int] = {}
+    for lo, hi in zip([0] + cuts, cuts + [len(comp)]):
+        if lo < hi:
+            nodes = sorted(set(src[lo:hi]) | set(dst[lo:hi]))
+            assignment.update(_split_component(
+                nodes, list(zip(src[lo:hi], dst[lo:hi], weight[lo:hi])),
+                path_threshold))
+    named = pc.is_valid(edges.column('ent'))
+    names = dict(zip(edges.column('dst').filter(named).to_pylist(),
+                     edges.column('ent').filter(named).to_pylist()))
+    return assignment, names
 
 
 def canonicalize_surface(linked_mentions_ds,
@@ -589,7 +636,7 @@ def canonicalize_surface(linked_mentions_ds,
     # row per distinct surface + per qualifying (surface, entity) pair) —
     # sublinear in mentions and the same driver/object-store budget class
     # as the alias index; that dim, not the mention count, bounds this
-    # algorithm. Beyond it, use canonicalize() + a labels join.
+    # algorithm. Beyond it, use canonicalize().
     coarse = None if total_rows is None else \
         max(default_coarse(), min(4096, int(total_rows) // 4_000_000))
     partials = ds.select_columns(['mention_uid', 'norm_surface', 'entity', 'link_score']) \
@@ -694,14 +741,12 @@ def edin_clusters(linked_mentions_ds,
     mm_only = build_alignment_edges(linked_mentions_ds, me_threshold=2.0,
                                     mm_threshold=mm_threshold,
                                     total_rows=total_rows)
-    labels = connected_components(mm_only)
-    labels_ref = ray.put(labels)
+    labels_ref = ray.put(connected_components(mm_only))
 
     def tag(batch: pa.Table) -> pa.Table:
-        lab = ray.get(labels_ref)
-        uids = batch.column('mention_uid').to_numpy()
-        comp = np.fromiter((lab.get(int(u), int(u)) for u in uids), dtype=np.int64,
-                           count=len(uids))
+        from ..state.broadcast import get_broadcast
+        comp = _label_of(get_broadcast(labels_ref),
+                         batch.column('mention_uid').to_numpy())
         return batch.append_column('component', pa.array(comp, pa.int64()))
 
     tagged = linked_mentions_ds.select_columns(
@@ -732,51 +777,87 @@ def canonicalize(linked_mentions_ds,
                  me_threshold: float = MENTION_ENTITY_THRESHOLD,
                  mm_threshold: float = MENTION_MENTION_THRESHOLD,
                  path_threshold: float = PATH_THRESHOLD,
-                 total_rows: Optional[int] = None):
-    """Full canonicalization: edges → CC → per-component split → cluster map.
+                 total_rows: Optional[int] = None,
+                 carried=None, emit=None):
+    """Full canonicalization: alignment edges → CC → ONE exchange keyed on
+    the component, whose buckets split each component (NASTyLinker) and
+    name its entity clusters from the edges' ``ent`` column. Only the CC
+    node map reaches the driver; it is broadcast back once.
 
-    Returns a Dataset (node:int64, cluster:int64, entity:string|null) where
-    entity is the linked entity name for entity-labeled clusters and null
-    for NEW_ENTITY clusters (reference entity_disambiguation/__init__.py:26-33:
+    Without ``carried``: a Dataset (node:int64, cluster:int64,
+    entity:string|null) over every alignment-graph node, where entity is
+    the linked entity name for entity-labeled clusters and null for
+    NEW_ENTITY clusters (reference entity_disambiguation/__init__.py:26-33:
     new ids assigned past the known-id space).
+
+    With ``carried`` (rows with an int64 ``mention_uid`` and no column
+    named like an edge column): each row rides the same exchange to its
+    mention's component bucket and gets ``cluster`` (its own uid when the
+    mention has no edge) and ``entity`` appended; ``emit(pa.Table) ->
+    pa.Table`` turns each bucket's carried rows into the returned rows.
     """
-    import ray
     import ray.data as rd
+
+    from ..state.broadcast import get_broadcast
+    from .relational import _coarse_key, bucket_exchange, default_coarse
 
     edges = build_alignment_edges(linked_mentions_ds, me_threshold, mm_threshold,
                                   total_rows=total_rows)
-    edges = edges.materialize()  # reused twice (CC + split); bounded by mention count
+    edges = edges.materialize()  # reused twice (CC + exchange); bounded by mention count
     labels = connected_components(edges)
-    if not labels:
+    if not labels and carried is None:
         return rd.from_arrow(pa.Table.from_pydict(
             {'node': pa.array([], pa.int64()), 'cluster': pa.array([], pa.int64()),
              'entity': pa.array([], pa.string())}))
     labels_ref = ray.put(labels)
+    coarse = default_coarse()
 
-    def tag_component(batch: pa.Table) -> pa.Table:
-        lab = ray.get(labels_ref)
-        src = batch.column('src').to_numpy()
-        comp = np.fromiter((lab.get(int(s), int(s)) for s in src), dtype=np.int64,
-                           count=len(src))
-        return batch.append_column('component', pa.array(comp, pa.int64()))
+    def tagger(key: str, lead: pa.Schema, trail: pa.Schema):
+        """Rows → ``_coarse``, ``_comp`` = label of ``key``, then edge
+        columns before carried ones: the other side's are typed nulls."""
+        def tag(t: pa.Table) -> pa.Table:
+            comp = _label_of(get_broadcast(labels_ref), t.column(key).to_numpy())
+            ck = _coarse_key(pd.DataFrame({'c': comp}), ['c'], coarse)
 
-    from .relational import arrow_filter, grouped_map
-    tagged = edges.map_batches(tag_component, batch_format='pyarrow')
-    clusters = grouped_map(tagged, ['component'],
-                           lambda g: split_components(g, path_threshold))
+            def nulls(schema):
+                return [pa.nulls(t.num_rows, f.type) for f in schema]
+            return pa.Table.from_arrays(
+                [pa.array(ck.to_numpy(), pa.int32()), pa.array(comp, pa.int64())]
+                + nulls(lead) + t.columns + nulls(trail),
+                names=['_coarse', '_comp'] + lead.names + t.column_names
+                + trail.names)
+        return tag
 
-    # entity-labeled clusters carry the entity NODE id (negative space, see
-    # _split_component); resolve it to the entity name so the matcher
-    # contract matches edin_clusters' (node, cluster, entity|null) schema
-    import pyarrow.compute as pc
-    ents = set(arrow_filter(linked_mentions_ds,
-                            lambda t: pc.is_valid(t['entity'])).unique('entity'))
-    name_ref = ray.put({entity_node_id(e): e for e in ents if e})
+    # the carried side is materialized first: its schema types the null
+    # padding of the edge rows, so every block has one schema
+    no_cols = carried_schema = pa.schema([])
+    if carried is not None:
+        carried = carried.map_batches(tagger('mention_uid', EDGE_SCHEMA, no_cols),
+                                      batch_format='pyarrow', batch_size=None) \
+            .materialize()
+        s = carried.schema()
+        if s is not None:   # None: no blocks at all
+            carried_schema = pa.schema(
+                list(zip(s.names, s.types))[2 + len(EDGE_SCHEMA.names):])
+    tagged = edges.map_batches(tagger('src', no_cols, carried_schema),
+                               batch_format='pyarrow', batch_size=None)
+    if carried is not None:
+        tagged = tagged.union(carried)
 
-    def add_entity(batch: pa.Table) -> pa.Table:
-        from ..state.broadcast import get_broadcast
-        m = get_broadcast(name_ref)
-        names = [m.get(c) for c in batch.column('cluster').to_pylist()]
-        return batch.append_column('entity', pa.array(names, pa.string()))
+    def resolve(bucket: pa.Table) -> pa.Table:
+        is_edge = pc.is_valid(bucket.column('src'))
+        assignment, names = _split_bucket(bucket.filter(is_edge), path_threshold)
+        if carried is None:
+            clusters = list(assignment.values())
+            return pa.Table.from_pydict({
+                'node': pa.array(list(assignment), pa.int64()),
+                'cluster': pa.array(clusters, pa.int64()),
+                'entity': pa.array([names.get(c) for c in clusters], pa.string())})
+        rows = bucket.filter(pc.invert(is_edge)).select(carried_schema.names)
+        uids = rows.column('mention_uid').to_pylist()
+        clusters = [assignment.get(u, u) for u in uids]
+        return emit(rows.append_column('cluster', pa.array(clusters, pa.int64()))
+                    .append_column('entity', pa.array(
+                        [names.get(c) for c in clusters], pa.string())))
 
-    return clusters.map_batches(add_entity, batch_format='pyarrow')
+    return bucket_exchange(tagged, resolve, coarse=coarse, batch_format='pyarrow')

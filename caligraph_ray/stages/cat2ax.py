@@ -33,6 +33,7 @@ import ray
 
 from ..config import AGG_BATCH_SIZE, CAT2AX_PATTERN_CONF
 from ..functions.strings import remove_by_phrase, tokenize
+from ..state.broadcast import get_broadcast
 from .relational import collect_rows, two_phase_count
 
 # --- phase 0: per-category statistics (A3, reference category.py:222-237) ---
@@ -394,7 +395,7 @@ def extract_axioms(categories_ds, membership_ds, facts_ds,
     cats = two_phase_count(categories_ds, ['cat_name'], 'cnt').drop_columns(['cnt'])
 
     def apply_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        tries_, stats_, lex_ = ray.get(state_ref)
+        tries_, stats_, lex_ = get_broadcast(state_ref)
         rows: List[dict] = []
         for cat in batch['cat_name']:
             rows.extend(apply_patterns_to_label(cat, tries_, stats_.get(cat), lex_,
@@ -422,7 +423,7 @@ def literal_flags_for_pairs(facts_ds, pairs) -> Dict[Tuple[str, str], bool]:
     pairs_ref = ray.put(set(pairs))
 
     def flags(batch: pd.DataFrame) -> pd.DataFrame:
-        pp = ray.get(pairs_ref)
+        pp = get_broadcast(pairs_ref)
         keep = pd.Series([k in pp for k in zip(batch['pred'], batch['obj'])],
                          index=batch.index)
         b = batch[keep]
@@ -450,7 +451,7 @@ def axioms_to_triples(axioms_ds, membership_ds, facts_ds=None):
     ref = ray.put((dict(by_cat), lit_map))
 
     def emit(batch: pd.DataFrame) -> pa.Table:
-        axioms, lits = ray.get(ref)
+        axioms, lits = get_broadcast(ref)
         subj, pred, obj, lit = [], [], [], []
         for cat, member in zip(batch['cat_name'], batch['member']):
             for a in axioms.get(cat, ()):  # axioms per member's category

@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray
 
 from ..config import AGG_BATCH_SIZE
+from ..state.broadcast import get_broadcast
 from .relational import bucketed_map, two_phase_pandas_agg
 
 RULE_KEY = ['page_type', 'topsection', 'section']
@@ -92,7 +93,7 @@ def build_context(subjects_ds, page_type_fn=None, facts_ref=None, facts_ds=None)
                                   batch_size=AGG_BATCH_SIZE)
 
     def ctx(batch: pd.DataFrame) -> pd.DataFrame:
-        tbe, pbe = ray.get(facts_ref) if facts_ref is not None else ({}, {})
+        tbe, pbe = get_broadcast(facts_ref) if facts_ref is not None else ({}, {})
         page_types, page_ents = [], []
         types_l, rel_to_page = [], []
         for url, ent in zip(batch['url'], batch['entity']):
@@ -218,7 +219,7 @@ def apply_rules(ctx_ds, type_rules: pd.DataFrame, relation_rules: pd.DataFrame):
 
     def emit(batch: pd.DataFrame) -> pa.Table:
         from .triples import TRIPLES_SCHEMA
-        tr, rr = ray.get(rules_ref)
+        tr, rr = get_broadcast(rules_ref)
         subj, pred, obj, lit = [], [], [], []
         # column-zip iteration (no per-row Series construction)
         for ent, pt, top, sec, ent_types, rels, page_ent in zip(

@@ -38,8 +38,9 @@ def test_flagship_matches_oracle(ray_session, small_corpus):
 def test_flagship_join_scale_path_matches_surface(ray_session, small_corpus):
     """Forced-low-gate run: surface_budget=0 makes canonicalize_surface
     raise SurfaceDimOverBudget, so the auto path routes through the fully
-    distributed canonicalize() + labels shuffle-join tail (no driver-side
-    surface dim, no id_to_name dict). Same corpus → identical triple set
+    distributed canonicalize() tail, whose component exchange emits the
+    subject triples in-bucket (no driver-side surface dim, no id_to_name
+    dict). Same corpus → identical triple set
     as the surface closed form AND the oracle."""
     surface = _run(small_corpus, canon='surface')
     joined = _run(small_corpus, canon='auto', surface_budget=0)

@@ -1,35 +1,54 @@
 """The join path links and builds its alignment edges inside one
-norm_surface exchange.
+norm_surface exchange, and canonicalizes inside one component exchange.
 
 * Exchange counts, pinned with a counter around
   ``relational.bucket_exchange``: ``link_mentions_join`` makes one call,
-  ``build_alignment_edges`` on its output none, and the whole
-  ``run_flagship(linking='join', canon='join')`` at most four (the linking
-  exchange, the per-component split, the labels join and the sink dedup).
+  ``build_alignment_edges`` on its output none, ``canonicalize()`` on it
+  one, and the whole ``run_flagship(linking='join', canon='join')``
+  exactly three (the linking exchange, the component exchange and the
+  sink dedup), with no ``shuffle_join`` and no ``Dataset.unique``.
 * Edge inputs for the surface kernel, in both exchange regimes: its
   (entity, link_score) equal the broadcast ``link_mentions`` result, and
   the component partition of its edges equals a plain-Python star
   construction's.
+* Edge inputs for the component exchange, in both exchange regimes and
+  both connected-components regimes (driver union-find, and contraction
+  forced by a ``driver_limit`` under the edge count): ``canonicalize()``'s
+  node map and the join tail's subject triples equal a plain-Python
+  ``_UnionFind`` + ``_split_component`` reference, and the join flagship
+  equals ``oracle_triples`` on pages with re-fetched URLs and one
+  component holding 90 % of the mentions.
 """
 
 import pandas as pd
 import pytest
 
-from caligraph_ray.config import MENTION_ENTITY_THRESHOLD
+from caligraph_ray.config import (MENTION_ENTITY_THRESHOLD,
+                                  MENTION_MENTION_THRESHOLD, MM_SCORE,
+                                  PATH_THRESHOLD)
+from caligraph_ray.stages import canonicalize as canon_mod
 from caligraph_ray.stages import relational
-from caligraph_ray.stages.canonicalize import _UnionFind, entity_node_id
+from caligraph_ray.stages.canonicalize import (_split_component, _UnionFind,
+                                               entity_node_id)
 
 
 @pytest.fixture
 def exchange_calls(monkeypatch):
-    calls = []
-    real = relational.bucket_exchange
+    """Per-name call counts of the exchanges a plan may start."""
+    import ray.data as rd
+    calls = {'bucket_exchange': 0, 'shuffle_join': 0, 'unique': 0}
 
-    def counting(*a, **kw):
-        calls.append(1)
-        return real(*a, **kw)
+    def counter(name, real):
+        def counting(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        return counting
 
-    monkeypatch.setattr(relational, 'bucket_exchange', counting)
+    for name in ('bucket_exchange', 'shuffle_join'):
+        monkeypatch.setattr(relational, name,
+                            counter(name, getattr(relational, name)))
+    monkeypatch.setattr(rd.Dataset, 'unique',
+                        counter('unique', rd.Dataset.unique))
     return calls
 
 
@@ -46,20 +65,32 @@ def test_link_then_edges_make_one_exchange(ray_session, small_corpus,
     from caligraph_ray.stages.canonicalize import build_alignment_edges
     mentions = _mentions(small_corpus)
     linked = link_mentions_join(mentions).materialize()
-    assert len(exchange_calls) == 1
+    assert exchange_calls['bucket_exchange'] == 1
     edges = build_alignment_edges(linked).materialize()
     assert edges.count() > 0
-    assert len(exchange_calls) == 1
+    assert exchange_calls['bucket_exchange'] == 1
 
 
-def test_join_flagship_makes_at_most_four_exchanges(ray_session, small_corpus,
-                                                    exchange_calls):
+def test_canonicalize_makes_one_exchange(ray_session, small_corpus,
+                                         exchange_calls):
+    from caligraph_ray.stages.alias import link_mentions_join
+    from caligraph_ray.stages.canonicalize import canonicalize
+    linked = link_mentions_join(_mentions(small_corpus)).materialize()
+    exchange_calls['bucket_exchange'] = 0
+    assert canonicalize(linked).materialize().count() > 0
+    assert exchange_calls == {'bucket_exchange': 1, 'shuffle_join': 0,
+                              'unique': 0}
+
+
+def test_join_flagship_makes_three_exchanges(ray_session, small_corpus,
+                                             exchange_calls):
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship
     out = run_flagship(rd.from_arrow(small_corpus), linking='join',
                        canon='join')
     assert out.count() > 0
-    assert len(exchange_calls) <= 4
+    assert exchange_calls == {'bucket_exchange': 3, 'shuffle_join': 0,
+                              'unique': 0}
 
 
 # --- edge inputs -------------------------------------------------------------
@@ -158,3 +189,186 @@ def test_surface_kernel_edge_inputs(ray_session, monkeypatch, case, regime):
         e = collect_pandas(edges)
         got = [] if e.empty else list(zip(e['src'], e['dst']))
         assert _partition(got) == expected
+
+
+# --- component exchange edge inputs ------------------------------------------
+
+def _linked_frame(rows):
+    """(uid, surface, entity, link_score, is_subject) → linked mention rows;
+    url and label follow the uid, so a repeated uid is a re-fetched URL."""
+    return pd.DataFrame({
+        'mention_uid': pd.Series([r[0] for r in rows], dtype='int64'),
+        'norm_surface': pd.Series([r[1] for r in rows], dtype=object),
+        'entity': pd.Series([r[2] for r in rows], dtype=object),
+        'link_score': pd.Series([r[3] for r in rows], dtype='float64'),
+        'is_subject': pd.Series([r[4] for r in rows], dtype=bool),
+        'url': pd.Series([f'https://en.wikipedia.org/wiki/Page_{r[0] % 4}'
+                          for r in rows], dtype=object),
+        'label': pd.Series([f'{r[1]} {r[0]}' for r in rows], dtype=object)})
+
+
+def _ne(c):
+    return f'NE_{c & 0x7FFFFFFFFFFFFFFF:x}'
+
+
+def _reference(rows):
+    """Plain-Python canonicalization of linked rows → ({node: (cluster,
+    entity)}, subject triples): me edges, stars from each surface's min
+    uid, union-find components, ``_split_component`` per component."""
+    edges = [(u, entity_node_id(e), min(s, 1.0)) for u, _, e, s, _ in rows
+             if e is not None and s > MENTION_ENTITY_THRESHOLD]
+    by_surf = {}
+    for u, surf, *_ in rows:
+        by_surf.setdefault(surf, set()).add(u)
+    for uids in by_surf.values():
+        uids = sorted(uids)
+        edges += [(uids[0], u, MM_SCORE) for u in uids[1:]]
+    uf = _UnionFind()
+    for a, b, _ in edges:
+        uf.union(a, b)
+    by_comp = {}
+    for e in edges:
+        by_comp.setdefault(uf.find(e[0]), []).append(e)
+    assignment = {}
+    for es in by_comp.values():
+        assignment.update(_split_component(
+            sorted({n for e in es for n in e[:2]}), es, PATH_THRESHOLD))
+    names = {entity_node_id(e): e for _, _, e, _, _ in rows if e is not None}
+    nodes = {n: (c, names.get(c)) for n, c in assignment.items()}
+    triples = set()
+    frame = _linked_frame(rows)
+    for u, subj, url, label in zip(frame['mention_uid'], frame['is_subject'],
+                                   frame['url'], frame['label']):
+        if subj:
+            c = assignment.get(int(u), int(u))
+            name = names[c] if c in names else _ne(c)
+            page = url.rsplit('/', 1)[-1].replace('_', ' ')
+            triples |= {(name, 'mentionedIn', page, False),
+                        (name, 'label', label, True)}
+    return nodes, triples
+
+
+def _hot_component():
+    # 90 of 100 rows share one surface and one entity
+    rows = [(i, 'hot', 'Hot' if i % 3 else None, 1.0 if i % 3 else 0.0,
+             i % 2 == 0) for i in range(1, 91)]
+    return rows + [(100 + i, f'cold{i % 3}', f'Cold{i % 3}' if i % 2 else None,
+                    1.0 if i % 2 else 0.7, True) for i in range(10)]
+
+
+COMPONENT_CASES = {
+    'no_edges': [(1, 'a', None, 0.0, True), (2, 'b', None, 0.0, True),
+                 (3, 'c', 'E', 0.5, True), (4, 'd', None, 0.0, False)],
+    # 4 (unlinked, unique surface) and 5 (link under the threshold) have
+    # no edge: their subjects are NE_<uid>
+    'subject_outside_graph': [(1, 'x', 'E', 1.0, True), (2, 'x', 'E', 1.0, False),
+                              (3, 'x', None, 0.0, True), (4, 'y', None, 0.0, True),
+                              (5, 'z', 'F', 0.9, True)],
+    # E1 and E2 share one component; 12 reaches 5 through a second
+    # surface, and 20/21 sit three hops (0.9^3 < PATH_THRESHOLD) from E1
+    'two_entities_split': [(10, 'm', 'E1', 1.0, True), (11, 'm', 'E2', 1.0, True),
+                           (11, 'm', 'E2', 1.0, True), (12, 'm', None, 0.0, True),
+                           (12, 'n', None, 0.0, False), (5, 'n', None, 0.0, True),
+                           (20, 'n', None, 0.0, True), (21, 'n', None, 0.0, True)],
+    'hot_component': _hot_component(),
+    # uid 7 and 9 were re-fetched with other links
+    'duplicate_uids': [(7, 's', 'S1', 1.0, True), (7, 's', 'S2', 1.0, True),
+                       (3, 's', None, 0.0, True), (9, 's', 'S1', 1.0, False),
+                       (9, 't', 'T1', 1.0, True), (9, 't', None, 0.0, True),
+                       (4, 't', None, 0.0, True)],
+    'nul_names': [(1, 's1', 'a\x00b', 1.0, True), (2, 's1', 'a\x00b', 1.0, True),
+                  (3, 's2', 'a\x00c', 1.0, True), (4, 's2', None, 0.0, True),
+                  (5, 's3', 'a', 1.0, True), (6, 's3', 'a', 1.0, False)],
+}
+
+
+def _set_regimes(monkeypatch, exchange, cc):
+    """Force the large exchange and/or contraction in connected_components
+    (a driver_limit one under the edge count, which is above the forest
+    floor whenever the edges hold a cycle). Returns the list of edge
+    counts that were contracted."""
+    if exchange == 'large':
+        monkeypatch.setattr(relational, 'SMALL_EXCHANGE_BYTES', -1)
+    contracted = []
+    if cc == 'contract':
+        real = canon_mod.connected_components
+
+        def contracting(edges_ds, **kw):
+            e = relational.collect_pandas(edges_ds)
+            uf = _UnionFind()
+            for a, b in zip(e.get('src', []), e.get('dst', [])):
+                uf.union(int(a), int(b))
+            if len(e) > len(uf.parent):   # #edges > #nodes - #components
+                contracted.append(len(e))
+                kw['driver_limit'] = len(e) - 1
+            return real(edges_ds, **kw)
+
+        monkeypatch.setattr(canon_mod, 'connected_components', contracting)
+    return contracted
+
+
+def _triple_set(ds):
+    t = relational.collect_pandas(ds)
+    if t.empty:
+        return set()
+    return set(zip(t['subj'], t['pred'], t['obj'], t['is_literal'].astype(bool)))
+
+
+@pytest.mark.parametrize('cc', ['driver', 'contract'])
+@pytest.mark.parametrize('exchange', ['small', 'large'])
+@pytest.mark.parametrize('case', sorted(COMPONENT_CASES))
+def test_component_exchange_edge_inputs(ray_session, monkeypatch, case,
+                                        exchange, cc):
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import _assemble_triples_join
+    rows = COMPONENT_CASES[case]
+    want_nodes, want_triples = _reference(rows)
+    contracted = _set_regimes(monkeypatch, exchange, cc)
+    ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
+
+    got = relational.collect_pandas(canon_mod.canonicalize(ds))
+    got_nodes = {} if got.empty else {
+        int(n): (int(c), e if isinstance(e, str) else None)
+        for n, c, e in zip(got['node'], got['cluster'], got['entity'])}
+    assert got_nodes == want_nodes
+    assert _triple_set(_assemble_triples_join(
+        ds, MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
+        PATH_THRESHOLD)) == want_triples
+    if cc == 'contract' and case != 'no_edges':
+        assert len(contracted) == 2   # both calls contracted
+
+
+def _refetch_pages():
+    """Ten fetches of four URLs: nine of ten items link one entity, the
+    tenth links an entity of its own fetch, so re-fetches share its uid."""
+    pages = []
+    for j in range(10):
+        items = ''.join(
+            f'<li><a href="/wiki/United_States">United States</a> item {k}</li>'
+            for k in range(9)) + \
+            f'<li><a href="/wiki/Town_{j}">Town {j}</a> elsewhere</li>'
+        html = (f'<html><head><title>Page {j % 4}</title></head><body>'
+                f'<h1>Page {j % 4}</h1><h2>List</h2><ul>{items}</ul>'
+                f'<div id="catlinks">Categories: <a href="/wiki/Category:'
+                f'Things">Things</a></div></body></html>')
+        pages.append((f'https://en.wikipedia.org/wiki/Page_{j % 4}',
+                      html.encode()))
+    return pages
+
+
+@pytest.mark.parametrize('cc', ['driver', 'contract'])
+@pytest.mark.parametrize('exchange', ['small', 'large'])
+def test_join_flagship_refetched_hot_component_matches_oracle(
+        ray_session, monkeypatch, exchange, cc):
+    import pyarrow as pa
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import run_flagship
+    from oracle_kg import oracle_triples
+    pages = _refetch_pages()
+    contracted = _set_regimes(monkeypatch, exchange, cc)
+    table = pa.table({'url': [u for u, _ in pages],
+                      'html': pa.array([h for _, h in pages], pa.binary())})
+    got = _triple_set(run_flagship(rd.from_arrow(table).repartition(3),
+                                   linking='join', canon='join'))
+    assert got == oracle_triples(pages)
+    assert len(contracted) == (1 if cc == 'contract' else 0)

@@ -301,6 +301,10 @@ def _ne_name(c) -> str:
     return f'NE_{int(c) & 0x7FFFFFFFFFFFFFFF:x}'
 
 
+_SUBJECT_SCHEMA = pa.schema([('mention_uid', pa.int64()), ('url', pa.string()),
+                             ('label', pa.string())])
+
+
 def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
                            total_rows: Optional[int] = None):
     """The 10^12-row canonicalization tail: no surface-sized dim is
@@ -316,8 +320,8 @@ def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
     branch. Label parity with the surface path is pinned by test_flagship's
     forced-path comparison."""
     subjects = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column('is_subject'), pa.scalar(True)))
-        .select(['mention_uid', 'url', 'label']), batch_format='pyarrow')
+        lambda t: t.filter(pc.equal(t.column('is_subject'), pa.scalar(True))),
+        batch_format='pyarrow')
 
     def emit(t: pa.Table) -> pa.Table:
         canon = [e if e is not None else _ne_name(c) for e, c in
@@ -328,7 +332,7 @@ def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
 
     return canonicalize(linked, me_threshold, mm_threshold,
                         path_threshold=path_threshold, total_rows=total_rows,
-                        carried=subjects, emit=emit)
+                        carried=(subjects, _SUBJECT_SCHEMA, emit))
 
 
 def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,

@@ -375,32 +375,36 @@ def connected_components_ds(edges_ds, max_rounds: int = 64):
         f'connected_components instead.')
 
 
+@ray.remote
+def _src_dst(block):
+    if not len(block):   # an empty reducer output may have no columns
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return (np.asarray(block['src'], np.int64),
+            np.asarray(block['dst'], np.int64))
+
+
 def _driver_components(mat) -> Dict[int, int]:
-    """Driver union-find over a materialized edge Dataset's src/dst columns
-    (Arrow or pandas blocks) → {node: label} for every non-root node."""
+    """Driver union-find over a materialized edge Dataset (Arrow or pandas
+    blocks) → {node: label} for every non-root node. Each block is
+    projected to its src/dst columns where it lives, so no other column
+    reaches the driver."""
     from .relational import _block_refs
     uf = _UnionFind()
-    for b in ray.get(_block_refs(mat)):
-        if len(b):
-            for a, c in zip(np.asarray(b['src'], np.int64).tolist(),
-                            np.asarray(b['dst'], np.int64).tolist()):
-                uf.union(a, c)
+    for src, dst in ray.get([_src_dst.remote(b) for b in _block_refs(mat)]):
+        for a, c in zip(src.tolist(), dst.tolist()):
+            uf.union(a, c)
     return {n: uf.find(n) for n in list(uf.parent)}
 
 
-def connected_components(edges_ds, contraction_passes: int = 2,
-                         driver_limit: int = 5_000_000,
-                         fan_in: Optional[int] = None,
-                         max_passes: int = 32) -> Dict[int, int]:
-    """Edge Dataset → {node: component_label} (label = min node id; roots
-    are absent, so consumers resolve with ``labels.get(n, n)``).
-
-    The materialized edge count is measured first: within ``driver_limit``
-    the edges go straight to driver union-find. Only above it do the
-    distributed contraction passes run; they bound the driver tail to ≤
-    (#nodes - #components) forest edges, each pass halving the partition
-    count (geometric fan-in from ``fan_in``, default = current block
-    count), so chains collapse geometrically (pointer-jumping analogue).
+def _forest_tail(edges_ds, contraction_passes: int = 2,
+                 driver_limit: int = 5_000_000,
+                 fan_in: Optional[int] = None, max_passes: int = 32):
+    """Edge Dataset → materialized (src, dst) Dataset of at most
+    ``driver_limit`` edges with the same connected components: the
+    distributed contraction passes bound the tail to ≤ (#nodes -
+    #components) forest edges, each pass halving the partition count
+    (geometric fan-in from ``fan_in``, default = current block count), so
+    chains collapse geometrically (pointer-jumping analogue).
 
     ADAPTIVE: after the mandatory ``contraction_passes``, the tail is
     measured each pass (edge count, then distinct-edge count — a node seen
@@ -408,14 +412,11 @@ def connected_components(edges_ds, contraction_passes: int = 2,
     distinct removes without any driver state). Passes continue until the
     deduped tail fits ``driver_limit``; the per-pass lineage counters are
     carried in the error raised only when the tail stops shrinking above
-    budget (the true forest is ≥ #nodes − #components edges, and the
-    RETURNED node map is the same size — a tail genuinely over budget means
-    the caller must raise ``driver_limit`` or consume components
+    budget (the true forest is ≥ #nodes − #components edges, and the node
+    map built from it is the same size — a tail genuinely over budget
+    means the caller must raise ``driver_limit`` or consume components
     distributed) or ``max_passes`` is exhausted."""
-    mat = edges_ds.materialize()
-    if mat.count() <= driver_limit:
-        return _driver_components(mat)
-    ds = mat.select_columns(['src', 'dst'])
+    ds = edges_ds.select_columns(['src', 'dst'])
     if fan_in is None:
         try:
             fan_in = max(2, ds.num_blocks())
@@ -436,12 +437,12 @@ def connected_components(edges_ds, contraction_passes: int = 2,
         n = ds.count()
         lineage.append(n)
         if n <= driver_limit:
-            break
+            return ds
         ds = _distinct_edges(ds).materialize()
         nd = ds.count()
         lineage.append(nd)
         if nd <= driver_limit:
-            break
+            return ds
         stalled = prev_dedup is not None and nd >= prev_dedup
         prev_dedup = nd
         if passes >= max_passes or stalled:
@@ -452,7 +453,24 @@ def connected_components(edges_ds, contraction_passes: int = 2,
                 f'— it is (close to) the true forest, and the returned node '
                 f'map would be the same size: raise driver_limit or consume '
                 f'components distributed.')
-    return _driver_components(ds)
+
+
+def connected_components(edges_ds, contraction_passes: int = 2,
+                         driver_limit: int = 5_000_000,
+                         fan_in: Optional[int] = None,
+                         max_passes: int = 32) -> Dict[int, int]:
+    """Edge Dataset → {node: component_label} (label = min node id; roots
+    are absent, so consumers resolve with ``labels.get(n, n)``).
+
+    The materialized edge count is measured first: within ``driver_limit``
+    the edges go straight to driver union-find. Only above it do the
+    distributed contraction passes run (``_forest_tail``, which takes the
+    other arguments), and their forest tail goes to the driver instead."""
+    mat = edges_ds.materialize()
+    if mat.count() > driver_limit:
+        mat = _forest_tail(mat, contraction_passes, driver_limit, fan_in,
+                           max_passes)
+    return _driver_components(mat)
 
 
 # --- NASTyLinker component splitting --------------------------------------
@@ -778,7 +796,7 @@ def canonicalize(linked_mentions_ds,
                  mm_threshold: float = MENTION_MENTION_THRESHOLD,
                  path_threshold: float = PATH_THRESHOLD,
                  total_rows: Optional[int] = None,
-                 carried=None, emit=None):
+                 carried: Optional[tuple] = None):
     """Full canonicalization: alignment edges → CC → ONE exchange keyed on
     the component, whose buckets split each component (NASTyLinker) and
     name its entity clusters from the edges' ``ent`` column. Only the CC
@@ -790,8 +808,9 @@ def canonicalize(linked_mentions_ds,
     NEW_ENTITY clusters (reference entity_disambiguation/__init__.py:26-33:
     new ids assigned past the known-id space).
 
-    With ``carried`` (rows with an int64 ``mention_uid`` and no column
-    named like an edge column): each row rides the same exchange to its
+    With ``carried = (rows_ds, schema, emit)``: every row of ``rows_ds``
+    (cast to ``schema``, which holds an int64 ``mention_uid`` and no
+    column named like an edge column) rides the same exchange to its
     mention's component bucket and gets ``cluster`` (its own uid when the
     mention has no edge) and ``entity`` appended; ``emit(pa.Table) ->
     pa.Table`` turns each bucket's carried rows into the returned rows.
@@ -811,11 +830,16 @@ def canonicalize(linked_mentions_ds,
              'entity': pa.array([], pa.string())}))
     labels_ref = ray.put(labels)
     coarse = default_coarse()
+    rows_ds, carried_schema, emit = carried or (None, pa.schema([]), None)
 
-    def tagger(key: str, lead: pa.Schema, trail: pa.Schema):
-        """Rows → ``_coarse``, ``_comp`` = label of ``key``, then edge
-        columns before carried ones: the other side's are typed nulls."""
+    def tagger(key: str, lead: pa.Schema, own: Optional[pa.Schema],
+               trail: pa.Schema):
+        """Rows (cast to ``own`` when given) → ``_coarse``, ``_comp`` =
+        label of ``key``, then edge columns before carried ones: the other
+        side's are typed nulls, so every block has one schema."""
         def tag(t: pa.Table) -> pa.Table:
+            if own is not None:
+                t = t.select(own.names).cast(own)
             comp = _label_of(get_broadcast(labels_ref), t.column(key).to_numpy())
             ck = _coarse_key(pd.DataFrame({'c': comp}), ['c'], coarse)
 
@@ -828,21 +852,12 @@ def canonicalize(linked_mentions_ds,
                 + trail.names)
         return tag
 
-    # the carried side is materialized first: its schema types the null
-    # padding of the edge rows, so every block has one schema
-    no_cols = carried_schema = pa.schema([])
-    if carried is not None:
-        carried = carried.map_batches(tagger('mention_uid', EDGE_SCHEMA, no_cols),
-                                      batch_format='pyarrow', batch_size=None) \
-            .materialize()
-        s = carried.schema()
-        if s is not None:   # None: no blocks at all
-            carried_schema = pa.schema(
-                list(zip(s.names, s.types))[2 + len(EDGE_SCHEMA.names):])
-    tagged = edges.map_batches(tagger('src', no_cols, carried_schema),
+    tagged = edges.map_batches(tagger('src', pa.schema([]), None, carried_schema),
                                batch_format='pyarrow', batch_size=None)
     if carried is not None:
-        tagged = tagged.union(carried)
+        tagged = tagged.union(rows_ds.map_batches(
+            tagger('mention_uid', EDGE_SCHEMA, carried_schema, pa.schema([])),
+            batch_format='pyarrow', batch_size=None))
 
     def resolve(bucket: pa.Table) -> pa.Table:
         is_edge = pc.is_valid(bucket.column('src'))

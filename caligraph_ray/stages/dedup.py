@@ -194,10 +194,10 @@ def pairs_to_groups(pairs_ds, all_ids: Optional[List[int]] = None,
 
     Size-gated (measured pair count vs ``PAIR_GROUPS_DRIVER_LIMIT``): small
     pair sets take the driver union-find fast path; above the gate the pair
-    Dataset routes through the adaptive distributed
-    ``connected_components`` (canonicalize.py — contraction passes until
-    the spanning-forest tail fits the driver), because near-dup pairs scale
-    WITH a web corpus and an O(N)-edge driver collect is a scale-killer.
+    Dataset routes through the adaptive distributed contraction of
+    ``connected_components`` (canonicalize.py ``_forest_tail`` — passes
+    until the spanning-forest tail fits the driver), because near-dup
+    pairs scale WITH a web corpus and an O(N)-edge driver collect is a scale-killer.
     Both regimes label a component by its min member id, so outputs are
     identical (equality-pinned by test_dedup_scale_guards). Unpaired ids
     become singleton groups when ``all_ids`` is given."""
@@ -208,19 +208,20 @@ def pairs_to_groups(pairs_ds, all_ids: Optional[List[int]] = None,
     mat = pairs_ds.materialize()
     members: set = set(all_ids) if all_ids else set()
     if mat.count() > driver_limit:
-        from .canonicalize import connected_components
+        from .canonicalize import _driver_components, _forest_tail
 
         def as_edges(t: pa.Table) -> pa.Table:
             return pa.Table.from_pydict(
                 {'src': t.column('a').cast(pa.int64()),
                  'dst': t.column('b').cast(pa.int64())})
 
-        # NOTE: CC's own driver_limit (forest-TAIL size) stays at its
-        # default — this gate is on the raw pair count, a different and
-        # much larger quantity (tests force this gate to 0 to pin regime
-        # equality; a 0 tail budget would always raise).
-        comp = connected_components(
-            mat.map_batches(as_edges, batch_format='pyarrow'))
+        # above this gate the raw pairs never reach the driver, even when
+        # they would fit connected_components' own driver_limit: they are
+        # always contracted first, and the tail is held to that limit's
+        # default (tests force this gate to 0 to pin regime equality; a 0
+        # tail budget would always raise)
+        comp = _driver_components(_forest_tail(
+            mat.map_batches(as_edges, batch_format='pyarrow')))
         members.update(comp)
         # component ROOTS are absent from the CC dict's keys (union-find
         # parent records losers only) but present as its values — a root's

@@ -68,18 +68,35 @@ def _pairs_ds(edges):
          'b': np.array([e[1] for e in edges], dtype=np.int64)}))
 
 
-def test_pairs_to_groups_cc_regime_equality(ray_session):
+@pytest.fixture
+def contracted(monkeypatch):
+    """Edge counts handed to the distributed contraction (``_forest_tail``
+    of connected_components) by pairs_to_groups."""
+    from caligraph_ray.stages import canonicalize as canon_mod
+    seen = []
+    real = canon_mod._forest_tail
+
+    def counting(ds, *a, **kw):
+        seen.append(ds.count())
+        return real(ds, *a, **kw)
+    monkeypatch.setattr(canon_mod, '_forest_tail', counting)
+    return seen
+
+
+def test_pairs_to_groups_cc_regime_equality(ray_session, contracted):
     """Forced-low gate (driver_limit=0) routes pairs through the adaptive
-    distributed connected_components; groups must equal the driver
-    union-find fast path, including singleton ids from all_ids."""
+    distributed contraction of connected_components; groups must equal the
+    driver union-find fast path, including singleton ids from all_ids."""
     from caligraph_ray.stages.dedup import pairs_to_groups
     edges = [(1, 2), (2, 3), (10, 11), (30, 31), (31, 32), (3, 4),
              (100, 2), (50, 51)]
     all_ids = [1, 2, 3, 4, 10, 11, 30, 31, 32, 50, 51, 100, 777]
     fast = pairs_to_groups(_pairs_ds(edges), all_ids=all_ids,
                            driver_limit=10_000)
+    assert contracted == []
     dist = pairs_to_groups(_pairs_ds(edges), all_ids=all_ids,
                            driver_limit=0)
+    assert contracted == [len(edges)]
     pd.testing.assert_frame_equal(dist.reset_index(drop=True),
                                   fast.reset_index(drop=True))
     # label = min member id; 777 is a singleton
@@ -87,9 +104,9 @@ def test_pairs_to_groups_cc_regime_equality(ray_session):
     assert m[100] == 1 and m[4] == 1 and m[32] == 30 and m[777] == 777
 
 
-def test_pairs_to_groups_config_gate(ray_session, monkeypatch):
+def test_pairs_to_groups_config_gate(ray_session, monkeypatch, contracted):
     """The default gate reads config.PAIR_GROUPS_DRIVER_LIMIT at call
-    time, so the driver's forced-gate env sweep reaches the CC path."""
+    time, so the forced-gate env sweep reaches the contraction path."""
     import caligraph_ray.config as cfg
     from caligraph_ray.stages.dedup import pairs_to_groups
     edges = [(5, 6), (6, 7), (20, 21)]
@@ -97,6 +114,7 @@ def test_pairs_to_groups_config_gate(ray_session, monkeypatch):
     monkeypatch.setattr(cfg, 'PAIR_GROUPS_DRIVER_LIMIT', 0)
     dist = pairs_to_groups(_pairs_ds(edges))
     pd.testing.assert_frame_equal(dist, fast)
+    assert contracted == [len(edges)]
 
 
 from hypothesis import HealthCheck, given, settings

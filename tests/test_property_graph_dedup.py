@@ -59,17 +59,25 @@ def _brute_components(edges):
 @SETTINGS
 @given(edge_list(), st.integers(min_value=0, max_value=3))
 def test_connected_components_matches_union_find(ray_session, edges, passes):
+    """Both regimes: driver union-find within ``driver_limit`` (the
+    default), and the contraction passes ``connected_components`` runs
+    above it (``_forest_tail``, whose tail fits the default limit)."""
     import ray.data as rd
-    from caligraph_ray.stages.canonicalize import connected_components
+    from caligraph_ray.stages.canonicalize import (_driver_components,
+                                                   _forest_tail,
+                                                   connected_components)
     df = pd.DataFrame({'src': np.array([a for a, _ in edges], dtype='int64'),
                        'dst': np.array([b for _, b in edges], dtype='int64')})
-    got = connected_components(rd.from_pandas(df).repartition(3),
-                               contraction_passes=passes)
+    ds = rd.from_pandas(df).repartition(3)
+    direct = connected_components(ds, contraction_passes=passes)
+    contracted = _driver_components(_forest_tail(ds,
+                                                 contraction_passes=passes))
     want = _brute_components(edges)
     # the distributed tail only sees nodes that appear in forest edges;
     # isolated self-loop-only nodes are singleton components either way
-    for n, lbl in want.items():
-        assert got.get(n, n) == lbl, (n, got, want)
+    for got in (direct, contracted):
+        for n, lbl in want.items():
+            assert got.get(n, n) == lbl, (n, got, want)
 
 
 @SETTINGS

@@ -36,14 +36,36 @@ def test_alias_index_and_linking(ray_session, rd, small_corpus):
     assert all(0 < r['link_score'] <= 1 for r in resolved)
 
 
-def test_connected_components_matches_unionfind(ray_session, rd):
+@pytest.fixture
+def cc_spy(monkeypatch):
+    """Edge counts seen by the contraction (``_forest_tail``) and by each
+    distinct step of its adaptive loop (``_distinct_edges``)."""
+    from caligraph_ray.stages import canonicalize as canon_mod
+    seen = {'_forest_tail': [], '_distinct_edges': []}
+
+    def spy(name):
+        real = getattr(canon_mod, name)
+
+        def counting(ds, *a, **kw):
+            out = real(ds, *a, **kw)
+            seen[name].append(out.count())
+            return out
+        monkeypatch.setattr(canon_mod, name, counting)
+
+    spy('_forest_tail')
+    spy('_distinct_edges')
+    return seen
+
+
+def test_connected_components_matches_unionfind(ray_session, rd, cc_spy):
+    """Driver union-find within the default limit; over a forced one (700
+    edges, a forest floor of at most 499), contraction first."""
     rng = np.random.RandomState(5)
     n_nodes, n_edges = 500, 700
     src = rng.randint(0, n_nodes, n_edges).astype(np.int64)
     dst = rng.randint(0, n_nodes, n_edges).astype(np.int64)
     edges = rd.from_arrow(pa.Table.from_pydict(
         {'src': src, 'dst': dst})).repartition(8)
-    got = connected_components(edges)
     uf = _UnionFind()
     for a, b in zip(src, dst):
         uf.union(int(a), int(b))
@@ -51,25 +73,46 @@ def test_connected_components_matches_unionfind(ray_session, rd):
     # identity labels (isolated/self-loop nodes) are implicit on both sides:
     # consumers resolve with labels.get(n, n)
     want = {n: l for n, l in want.items() if l != n}
-    got = {n: l for n, l in got.items() if l != n}
-    assert got == want
+    for driver_limit, contractions in ((5_000_000, 0), (600, 1)):
+        got = connected_components(edges, driver_limit=driver_limit)
+        got = {n: l for n, l in got.items() if l != n}
+        assert got == want
+        assert len(cc_spy['_forest_tail']) == contractions
 
 
-def test_connected_components_adaptive_converges(ray_session, rd):
-    """Long-chain graph whose 2-pass forest tail exceeds a tiny forced
-    driver_limit: the adaptive loop (extra passes + distributed distinct of
-    the tail) must converge to the correct components instead of raising.
-    The limit sits above the true forest floor (#nodes − #components) but
-    below the duplicated early-pass tail."""
+def test_connected_components_adaptive_converges(ray_session, rd, cc_spy):
+    """Long chain, given three times (forward, reversed, forward again) so
+    the 717 edges exceed a forced driver_limit that sits above the true
+    forest floor (#nodes − #components = 239): the adaptive loop must
+    converge to the correct components instead of raising."""
     n = 240
-    src = np.arange(n - 1, dtype=np.int64)
-    dst = np.arange(1, n, dtype=np.int64)
+    chain = np.arange(n - 1, dtype=np.int64)
+    src = np.concatenate([chain, chain + 1, chain])
+    dst = np.concatenate([chain + 1, chain, chain + 1])
     edges = rd.from_arrow(pa.Table.from_pydict(
         {'src': src, 'dst': dst})).repartition(8)
     got = connected_components(edges, contraction_passes=2,
                                driver_limit=n + 10)
     assert set(got) == set(range(1, n))
     assert all(v == 0 for v in got.values())
+    assert cc_spy['_forest_tail'] and cc_spy['_forest_tail'][0] <= n + 10
+
+
+def test_connected_components_converges_after_distinct(ray_session, rd,
+                                                       cc_spy):
+    """One 60-leaf star in each of 8 blocks: every block contracts to the
+    same 60 (leaf, 0) edges, so the 480-edge tail after the one mandatory
+    pass is all duplicates over the limit, and the distributed distinct
+    brings it to the 60-edge forest within it."""
+    leaves = np.arange(1, 61, dtype=np.int64)
+    src = np.tile(leaves, 8)
+    dst = np.zeros(len(src), np.int64)
+    edges = rd.from_arrow(pa.Table.from_pydict(
+        {'src': src, 'dst': dst})).repartition(8)
+    got = connected_components(edges, contraction_passes=1, driver_limit=100)
+    assert got == {int(l): 0 for l in leaves}
+    assert cc_spy['_distinct_edges'] == [60]
+    assert cc_spy['_forest_tail'] == [60]
 
 
 def test_connected_components_true_overflow_raises(ray_session, rd):

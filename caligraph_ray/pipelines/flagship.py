@@ -226,7 +226,9 @@ def run_flagship_checkpointed(pages_ds, root: str,
                               mm_threshold: float = MENTION_MENTION_THRESHOLD,
                               path_threshold: float = PATH_THRESHOLD,
                               linking: str = 'broadcast',
-                              redirects_ds=None, **kw):
+                              redirects_ds=None, canon: str = 'auto',
+                              surface_budget: Optional[int] = None,
+                              markup: str = 'html', **kw):
     """Checkpointed flagship: ``run_flagship`` with a ``stage_hook`` that
     persists every wide stage as Parquet + _LINEAGE.json + _SUCCESS under
     ``root`` — the SAME code path as the direct run (the data_prep.py
@@ -234,28 +236,39 @@ def run_flagship_checkpointed(pages_ds, root: str,
     partial run) skips completed stages (north-rule resumability); a
     changed corpus/config invalidates stale checkpoints via per-stage
     fingerprints. The final triples land hash-partitioned under
-    ``root``/triples_out (idempotent sink: wipe-or-skip via _SUCCESS).
-    Drop accounting (pages the parser rejected) rides the 01_combined
-    stage as kind='drop' marker rows and is stamped into its lineage."""
+    ``root``/triples_out (idempotent sink: wipe-or-skip via _SUCCESS);
+    a run that rebuilds 05_triples drops the old sink first, so the sink
+    never serves triples of an earlier build. Drop accounting (pages the
+    parser rejected) rides the 01_combined stage as kind='drop' marker rows
+    and is stamped into its lineage."""
     import json as _json
     import os
+    import shutil
 
     from ..state.checkpoint import read_lineage, run_stage
 
-    # fingerprint: input size + thresholds — a rerun of the same root with a
-    # different corpus or config invalidates stale checkpoints instead of
-    # silently reusing them
+    # fingerprint: input size + every setting that changes a stage's rows —
+    # a rerun of the same root with a different corpus or config
+    # invalidates stale checkpoints instead of silently reusing them
     n_pages = pages_ds.count()
-    fp_in = {'n_pages': int(n_pages),
+    fp_in = {'n_pages': int(n_pages), 'markup': markup,
              'redirects': redirects_ds is not None}
     fp_link = fp_in | {'linking': linking}
     fp_cfg = fp_link | {'me': me_threshold, 'mm': mm_threshold,
-                        'path': path_threshold}
+                        'path': path_threshold, 'canon': canon,
+                        'surface_budget': surface_budget}
     fps = {'01_combined': fp_in, '02_categories': fp_in,
            '03_mentions': fp_in, '04_linked': fp_link,
            '05_triples': fp_cfg}
+    out_dir = os.path.join(root, 'triples_out')
 
     def hook(name, build):
+        if name == '05_triples':
+            inner = build
+
+            def build():  # the sink holds the previous build's triples
+                shutil.rmtree(out_dir, ignore_errors=True)
+                return inner()
         out = run_stage(root, name, build, fingerprint=fps[name])
         if name == '01_combined':
             lin = read_lineage(root, name)
@@ -270,10 +283,12 @@ def run_flagship_checkpointed(pages_ds, root: str,
                     _json.dump(lin, f, indent=2)
         return out
 
-    return run_flagship(pages_ds, out_dir=os.path.join(root, 'triples_out'),
+    return run_flagship(pages_ds, out_dir=out_dir,
                         me_threshold=me_threshold, mm_threshold=mm_threshold,
                         path_threshold=path_threshold, linking=linking,
-                        redirects_ds=redirects_ds, stage_hook=hook, **kw)
+                        redirects_ds=redirects_ds, canon=canon,
+                        surface_budget=surface_budget, markup=markup,
+                        stage_hook=hook, **kw)
 
 
 def _emit_subject_pairs(canon: pd.Series, urls: pd.Series,

@@ -88,6 +88,7 @@ def materialize_triples(triples_ds, out_dir: Optional[str] = None,
         if os.path.exists(out_dir):
             shutil.rmtree(out_dir)  # partial output from a crashed run
         ds.write_parquet(out_dir, partition_cols=['subj_bucket'])
+        os.makedirs(out_dir, exist_ok=True)  # an empty KG writes no file
         # per-partition lineage counters (north rule): row counts per
         # subj_bucket from the parquet FOOTERS — metadata only, no data
         # scan — committed before _SUCCESS so a complete sink always

@@ -4,14 +4,17 @@ Analogue of the reference's cache registry (utils.py:66-138,
 config.yaml:140-317) re-expressed for a distributed engine: every named
 stage writes Parquet to ``<root>/<stage>/`` plus
 
-* ``_LINEAGE.json``  — rows in/out, parse drops, wall time, block count
+* ``_LINEAGE.json``  — rows out, rows per file, wall time, file count
 * ``_SUCCESS``       — atomic completion marker (written last)
 
-``run_stage`` skips a stage whose ``_SUCCESS`` exists and re-reads its
-Parquet instead — resume-by-existence, the same contract the reference's
-``load_or_create_cache`` provides, but partition-granular: output files are
-one-per-block, so a partially-written stage reruns only what's missing
-(directory is wiped before rerun to stay atomic).
+A fresh stage runs once: its Dataset is materialized, each non-empty block
+is written as its own Parquet file by one task, and the materialized blocks
+are handed straight to the downstream stages of the same run — the durable
+copy is never read back in the job that wrote it. ``run_stage`` skips a
+stage whose ``_SUCCESS`` exists (and whose fingerprint matches) and reads
+its Parquet instead: resume-by-existence, the same contract the reference's
+``load_or_create_cache`` provides. A partially written stage (no
+``_SUCCESS``) is wiped and rebuilt, so it can never double rows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import shutil
 import time
 from typing import Callable, Dict, Optional
 
-import ray  # noqa: F401  (string annotations resolve against module globals)
+import ray
 
 
 def _stage_dir(root: str, name: str) -> str:
@@ -51,14 +54,29 @@ def fingerprint_of(params: Dict) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
+@ray.remote
+def _write_block(block, path: str) -> int:
+    """One materialized block -> one Parquet file, converted the way Ray's
+    own Parquet writer converts it. Returns the rows written."""
+    import pyarrow.parquet as pq
+    from ray.data.block import BlockAccessor
+    table = BlockAccessor.for_block(block).to_arrow()
+    pq.write_table(table, path)
+    return table.num_rows
+
+
 def run_stage(root: str, name: str, build: Callable[[], 'ray.data.Dataset'],
               extra_lineage: Optional[Dict] = None,
               fingerprint: Optional[Dict] = None):
     """Build-or-load a named stage.
 
-    ``build()`` returns the stage's output Dataset; it is written to the
-    stage directory with lineage, then re-read (so downstream stages consume
-    the durable copy — a crashed pipeline resumes from the last _SUCCESS).
+    A fresh stage is one execution: ``build()`` is materialized once, each
+    non-empty block is written to ``part-<block index>.parquet`` by its own
+    task, and the materialized Dataset itself is returned, so downstream
+    stages of the same run consume the blocks already in the object store
+    instead of decoding the Parquet again. The lineage counts come from the
+    write tasks, and ``_SUCCESS`` is written last. A loaded stage (a resume)
+    is read from its Parquet.
 
     ``fingerprint``: dict of the stage's semantic inputs (thresholds, input
     row count/schema, …). On resume the stored fingerprint must match, else
@@ -69,38 +87,28 @@ def run_stage(root: str, name: str, build: Callable[[], 'ray.data.Dataset'],
 
     fp = fingerprint_of(fingerprint) if fingerprint is not None else None
     d = _stage_dir(root, name)
-    if is_complete(root, name):
-        if fp is not None:
-            lin = read_lineage(root, name) or {}
-            if lin.get('fingerprint') != fp:
-                shutil.rmtree(d)  # config/input changed: checkpoint is stale
-            else:
-                return rd.read_parquet(d)
-        else:
-            return rd.read_parquet(d)
-
+    if is_complete(root, name) and (
+            fp is None or (read_lineage(root, name) or {}).get('fingerprint') == fp):
+        return rd.read_parquet(d)
     if os.path.exists(d):
-        shutil.rmtree(d)  # partial output from a crashed run: rerun cleanly
+        # stale (config/input changed) or partial (a crashed run): rebuild
+        shutil.rmtree(d)
     os.makedirs(d, exist_ok=True)
 
     t0 = time.time()
-    ds = build()
-    ds.write_parquet(d)
-    out = rd.read_parquet(d)
-    files = sorted(f for f in os.listdir(d) if f.endswith('.parquet'))
-    # per-partition lineage (north-rule): row count per output file from
-    # parquet footers — a resumed/debugged run can audit any partition
-    import pyarrow.parquet as pq
-    per_file = {}
-    for f in files:
-        try:
-            per_file[f] = int(pq.ParquetFile(os.path.join(d, f)).metadata.num_rows)
-        except Exception:
-            per_file[f] = -1
-    n_rows = sum(v for v in per_file.values() if v >= 0)
+    mat = build().materialize()
+    # per-partition lineage (north rule): one file per non-empty block,
+    # named by block index, so a retried write task overwrites its own file
+    blocks = [b for bundle in mat.iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    files = {f'part-{i:05d}.parquet': ref
+             for i, (ref, meta) in enumerate(blocks) if meta.num_rows != 0}
+    rows = ray.get([_write_block.remote(ref, os.path.join(d, f))
+                    for f, ref in files.items()])
+    per_file = dict(zip(files, rows))
     lineage = {
         'stage': name,
-        'rows_out': int(n_rows),
+        'rows_out': sum(rows),
         'n_files': len(files),
         'rows_per_file': per_file,
         'wall_sec': round(time.time() - t0, 3),
@@ -114,7 +122,7 @@ def run_stage(root: str, name: str, build: Callable[[], 'ray.data.Dataset'],
         json.dump(lineage, f, indent=2)
     with open(os.path.join(d, '_SUCCESS'), 'w') as f:
         f.write('')
-    return out
+    return mat
 
 
 def pipeline_report(root: str) -> Dict[str, dict]:

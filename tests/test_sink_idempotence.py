@@ -51,3 +51,18 @@ def test_partial_sink_is_wiped_and_rewritten(ray_session, tmp_path):
     assert len(got) == len(df)
     assert 'junk' not in set(got['subj'])
     assert os.path.exists(os.path.join(out, '_SUCCESS'))
+
+
+def test_empty_kg_writes_a_complete_empty_sink(ray_session, tmp_path):
+    """A corpus with no listings yields no triples; the sink still
+    completes (marker and manifest) instead of failing on a missing dir."""
+    import json
+
+    import ray.data as rd
+    from caligraph_ray.stages.triples import materialize_triples
+    out = str(tmp_path / 'sink')
+    empty = rd.from_pandas(_triples_df()).filter(lambda r: False)
+    assert materialize_triples(empty, out_dir=out).count() == 0
+    assert os.path.exists(os.path.join(out, '_SUCCESS'))
+    with open(os.path.join(out, '_PARTITIONS.json')) as f:
+        assert json.load(f)['total_rows'] == 0

@@ -56,6 +56,7 @@ def main():
     import ray.data as rd
 
     from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
+    from caligraph_ray.state.checkpoint import pipeline_report
     from caligraph_ray.stages.relational import strip_schema_metadata
 
     t0 = time.time()
@@ -77,6 +78,11 @@ def main():
         'triples_per_sec': round(n_triples / wall, 1) if wall else None,
         'cluster_cpus': int(ray.cluster_resources().get('CPU', 0)),
         'finished_ts': time.time(),
+        # where the time went: each stage's rows, files and wall time as its
+        # _LINEAGE.json recorded them (a resumed stage keeps its first build's)
+        'stages': {name: {k: lin.get(k) for k in ('rows_out', 'n_files',
+                                                  'wall_sec')}
+                   for name, lin in pipeline_report(args.root).items()},
     }
     with open(os.path.join(args.root, 'JOB_METRICS.json'), 'w') as f:
         json.dump(metrics, f, indent=1)

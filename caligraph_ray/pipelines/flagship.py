@@ -12,6 +12,14 @@ hash-partitioned Parquet.
 Exercises every execution pattern of the north star: stateless Arrow
 map_batches, broadcast small-side join, per-process model caches, keyed
 exchanges, salted shuffle, CC merge and a sort-materialize sink.
+
+A direct run (no ``stage_hook``) materializes only what a later step
+reads more than once or needs as a barrier: the slim union, the linked
+rows and each exchange's input. The mention and category rows stay lazy
+views over the slim union, the mentions are counted only for the
+``linking='auto'`` gate, and the join path's alignment edges are computed
+per block of the linked rows, never materialized. At the benchmark's
+1,000 pages that is five serial streaming executions on the join path.
 """
 
 from __future__ import annotations
@@ -62,6 +70,11 @@ def _mentions_cats_batch(t: pa.Table) -> pa.Table:
         cols['kind'] = pa.array([kind] * ct.num_rows, pa.string())
         parts.append(pa.Table.from_pydict(cols, schema=m.schema))
     return pa.concat_tables(parts)
+
+
+def _subjects_of(t: pa.Table) -> pa.Table:
+    """Subject-mention rows of a linked batch."""
+    return t.filter(pc.equal(t.column('is_subject'), pa.scalar(True)))
 
 
 def _mentions_of(t: pa.Table) -> pa.Table:
@@ -136,8 +149,9 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     ``data_prep.training_data_prep``, so ``run_flagship_checkpointed`` is
     THIS code path with Parquet+lineage persistence, never a drifting
     re-implementation. Without a hook, only the stages the streaming plan
-    genuinely needs pinned are materialized (mentions stays a lazy filter
-    view; assembled triples stream into the sink)."""
+    genuinely needs pinned are materialized: 02_categories is a stage only
+    under a hook (otherwise a lazy view the sink reads), mentions stays a
+    lazy filter view, and assembled triples stream into the sink."""
     from ..config import ALIAS_BROADCAST_LIMIT
     from ..stages.alias import link_mentions_join
     from ..stages.html_extract import parse_pages
@@ -156,8 +170,13 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     combined = run('01_combined',
                    lambda: parsed.map_batches(_mentions_cats_batch,
                                               batch_format='pyarrow'))
-    cats = run('02_categories',
-               lambda: combined.map_batches(_cats_of, batch_format='pyarrow'))
+
+    def cats_view():
+        return combined.map_batches(_cats_of, batch_format='pyarrow')
+    # only the sink reads the categories: without a hook they stay a lazy
+    # view over the pinned union, like the mentions below
+    cats = run('02_categories', cats_view) if stage_hook is not None \
+        else cats_view()
     mentions = combined.map_batches(_mentions_of, batch_format='pyarrow')
 
     if redirects_ds is not None:
@@ -174,13 +193,13 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
         # is the checkpointing price and only paid when a hook is installed
         mentions = run('03_mentions', lambda: mentions)
     # else: mentions stays a LAZY filter over the pinned slim union — its
-    # consumers (count, index scan, linking) fuse the cheap arrow mask into
+    # consumers (index scan, linking) fuse the cheap arrow mask into
     # their own scans. Re-materializing the filter was a full extra
     # write pass of ~95% of the union's rows (15 s at 2M pages / 16 CPUs)
-    # that bought nothing: the union IS the pinned copy.
-    n_mentions = mentions.count()
-    use_join = linking == 'join' or (linking == 'auto'
-                                     and n_mentions > ALIAS_BROADCAST_LIMIT)
+    # that bought nothing: the union IS the pinned copy. Only the 'auto'
+    # gate counts them (one execution).
+    use_join = linking == 'join' or (
+        linking == 'auto' and mentions.count() > ALIAS_BROADCAST_LIMIT)
     if linking == 'scored':
         # the constructor-swap seam reaches the full pipeline: pass
         # factories returning TRAINED models (functions/train_transformer)
@@ -210,9 +229,11 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
                                            concurrency=concurrency))
         ent_names = entity_names_from_index(index)
 
+    # block metadata on the materialized stage (Parquet metadata on a
+    # resumed one), not an execution
     all_triples = _assemble_triples(linked, cats, me_threshold, mm_threshold,
                                     path_threshold, ent_names=ent_names,
-                                    total_rows=n_mentions, canon=canon,
+                                    total_rows=linked.count(), canon=canon,
                                     surface_budget=surface_budget)
     if stage_hook is not None:
         # default path streams the assembled triples straight into the
@@ -327,17 +348,15 @@ def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
     connected-components node map reaches the driver (its size bounded by
     ``connected_components``' ``driver_limit``) and is broadcast back
     once. The subject mentions ride ``canonicalize()``'s component-keyed
-    exchange as carried rows, so each bucket splits its components, names
-    the clusters and emits its subjects' triples in one pass: a cluster's
-    canonical name is its entity name, else NE_<cluster>. Mentions absent
+    exchange as carried rows, selected from each linked block by the same
+    keying map that computes the block's edges, so each bucket splits its
+    components, names the clusters and emits its subjects' triples in one
+    pass: a cluster's canonical name is its entity name, else
+    NE_<cluster>. Mentions absent
     from the alignment graph (no qualifying link, unique surface) are
     singletons named NE_<own uid>, exactly the surface path's ``rest``
     branch. Label parity with the surface path is pinned by test_flagship's
     forced-path comparison."""
-    subjects = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column('is_subject'), pa.scalar(True))),
-        batch_format='pyarrow')
-
     def emit(t: pa.Table) -> pa.Table:
         canon = [e if e is not None else _ne_name(c) for e, c in
                  zip(t.column('entity').to_pylist(), t.column('cluster').to_pylist())]
@@ -347,7 +366,7 @@ def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
 
     return canonicalize(linked, me_threshold, mm_threshold,
                         path_threshold=path_threshold, total_rows=total_rows,
-                        carried=(subjects, _SUBJECT_SCHEMA, emit))
+                        carried=(_subjects_of, _SUBJECT_SCHEMA, emit))
 
 
 def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
@@ -396,9 +415,7 @@ def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
     id_to_name = {entity_node_id(e): e for e in sorted(set(e for e in ent_names if e))}
     state_ref = ray.put((surf_label, multi_info, id_to_name, mm_threshold))
 
-    linked_subjects = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column('is_subject'), pa.scalar(True))),
-        batch_format='pyarrow')
+    linked_subjects = linked.map_batches(_subjects_of, batch_format='pyarrow')
 
     mm_score = MM_SCORE  # star-edge weight (build_alignment_edges default)
 

@@ -10,8 +10,12 @@ Graph model (NASTyLinker, reference greedy_clustering.py:26-94):
     representative, so a head surface ('United States') never builds a
     quadratic group or a single giant task.
 
-Connected components measure the edge count first: edges within the
-driver limit go straight to driver union-find. Above it they run as
+While the edges are a per-row function of materialized linked rows
+(every regime but the salted one), no edge Dataset is materialized: one
+task per row block projects the block to its raw edge count and its
+distinct (src, dst) pairs. Connected components read the counts first:
+while their sum is within the driver limit the pairs go to driver
+union-find. Above it no pair array reaches the driver; the edges run as
 repeated block-local union-find contractions (per-partition spanning
 forests, the distributed analogue of the reference's bottom-up clustering
 D5, matching/bottomup_clustering.py:33-83): each pass shrinks every block
@@ -21,16 +25,19 @@ with driver union-find. One exchange keyed on the component then splits
 each component with more than one entity node NASTyLinker-style, by
 multi-source Dijkstra over edge weights with path score threshold
 (greedy_clustering.py:83-94), and names its entity clusters from the
-entity names its mention→entity edges carry; rows carried along (the
-flagship's subject mentions) are resolved in the same bucket.
+entity names its mention→entity edges carry. Its keying map computes each
+row block's edges again, drops exact-duplicate edge rows, and selects the
+rows carried along (the flagship's subject mentions), which are resolved
+in the same bucket.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
@@ -155,34 +162,53 @@ def build_alignment_edges(linked_mentions_ds,
                           mm_score: float = MM_SCORE,
                           hot_threshold: int = HOT_KEY_THRESHOLD,
                           total_rows: Optional[int] = None):
-    """linked mention rows → undirected edge Dataset (src, dst, weight).
+    """linked mention rows → undirected edge Dataset (src, dst, weight,
+    ent); see ``_edge_source`` for the regimes."""
+    ds, project = _edge_source(linked_mentions_ds, me_threshold, mm_threshold,
+                               mm_score, hot_threshold, total_rows)
+    if project is None:
+        return ds
+    return ds.map_batches(project, batch_format='pyarrow', batch_size=None)
+
+
+def _edge_source(linked_mentions_ds, me_threshold: float, mm_threshold: float,
+                 mm_score: float = MM_SCORE,
+                 hot_threshold: int = HOT_KEY_THRESHOLD,
+                 total_rows: Optional[int] = None,
+                 keep_columns: bool = False):
+    """linked mention rows → ``(rows, project)`` when the alignment edges
+    are a per-row function of ``rows`` (``project(pa.Table)`` gives a
+    block's edges), else ``(edges, None)``.
 
     Rows carrying ``surface_rep`` (``link_mentions_join`` emits it) give
-    both edge kinds in ONE zero-shuffle ``map_batches``. Rows without it get
-    it from ``alias.link_surface_bucket`` in one ``bucketed_map`` while
+    both edge kinds per row with no exchange. Rows without it get it from
+    ``alias.link_surface_bucket`` in one ``bucketed_map`` while
     ``total_rows`` (free on a materialized input) is unknown or within
-    SURFACE_BROADCAST_LIMIT, else their stars come from a salted groupby. A
-    schema unknown without executing counts as no ``surface_rep``."""
-    def edges(ds, stars: bool):
-        return ds.map_batches(
-            lambda b: _alignment_edges_batch(b, me_threshold,
-                                             mm_score if stars else None),
-            batch_format='pyarrow', batch_size=None)
+    SURFACE_BROADCAST_LIMIT; that exchange moves only the edge columns
+    unless ``keep_columns``. Above the limit the stars come from a salted
+    groupby, and the edges are a Dataset of their own. A schema unknown
+    without executing counts as no ``surface_rep``."""
+    def project(stars: bool):
+        return functools.partial(_alignment_edges_batch,
+                                 me_threshold=me_threshold,
+                                 mm_score=mm_score if stars else None)
 
     if mm_score <= mm_threshold:
-        return edges(linked_mentions_ds, False)
+        return linked_mentions_ds, project(False)
     schema = linked_mentions_ds.schema(fetch_if_missing=False)
     has_rep = schema is not None and 'surface_rep' in schema.names
     if has_rep or total_rows is None or total_rows <= SURFACE_BROADCAST_LIMIT:
         if not has_rep:
             from .alias import link_surface_bucket
             from .relational import bucketed_map
-            linked_mentions_ds = bucketed_map(
+            rows = linked_mentions_ds if keep_columns else \
                 linked_mentions_ds.select_columns(
-                    ['mention_uid', 'norm_surface', 'entity', 'link_score']),
-                ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
+                    ['mention_uid', 'norm_surface', 'entity', 'link_score'])
+            linked_mentions_ds = bucketed_map(
+                rows, ['norm_surface'],
+                lambda t: link_surface_bucket(t, link=False),
                 batch_format='pyarrow')
-        return edges(linked_mentions_ds, True)
+        return linked_mentions_ds, project(True)
 
     # LARGE-CARDINALITY PATH: salted groupby (hot keys split into sub-buckets
     # re-bridged by one star edge per bucket); detect hot surfaces with a
@@ -232,7 +258,8 @@ def build_alignment_edges(linked_mentions_ds,
                 'src': bridge_src, 'dst': bridge_dst,
                 'weight': [mm_score] * len(bridge_src)})))
             mm = mm.union(bridges)
-    return edges(linked_mentions_ds, False).union(mm)
+    return linked_mentions_ds.map_batches(
+        project(False), batch_format='pyarrow', batch_size=None).union(mm), None
 
 
 # --- connected components --------------------------------------------------
@@ -375,25 +402,45 @@ def connected_components_ds(edges_ds, max_rounds: int = 64):
         f'connected_components instead.')
 
 
-@ray.remote
-def _src_dst(block):
-    if not len(block):   # an empty reducer output may have no columns
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return (np.asarray(block['src'], np.int64),
-            np.asarray(block['dst'], np.int64))
+@ray.remote(num_returns=2)
+def _src_dst(block, project: Optional[Callable] = None):
+    """The per-block projection: one block (Arrow or pandas; an empty
+    reducer output may have no columns) → (its raw edge count, its
+    distinct (src, dst) pairs as a 2×n array), after ``project(pa.Table)``
+    maps a row block to its edges when given. The count is a separate
+    return, so the driver can read it without fetching the pairs."""
+    if not len(block):
+        return 0, np.empty((2, 0), np.int64)
+    if project is not None:
+        from ray.data.block import BlockAccessor
+        block = project(BlockAccessor.for_block(block).to_arrow())
+    pairs = np.stack([np.asarray(block['src'], np.int64),
+                      np.asarray(block['dst'], np.int64)])
+    return pairs.shape[1], np.unique(pairs, axis=1)
+
+
+def _project_blocks(mat, project: Optional[Callable] = None):
+    """One ``_src_dst`` task per block → (count refs, pair refs)."""
+    from .relational import _block_refs
+    refs = [_src_dst.remote(b, project) for b in _block_refs(mat)]
+    return [c for c, _ in refs], [p for _, p in refs]
+
+
+def _union_labels(pair_refs) -> Dict[int, int]:
+    """Driver union-find over fetched pair arrays → {node: label} for
+    every non-root node."""
+    uf = _UnionFind()
+    for src, dst in ray.get(pair_refs):
+        for a, c in zip(src.tolist(), dst.tolist()):
+            uf.union(a, c)
+    return {n: uf.find(n) for n in list(uf.parent)}
 
 
 def _driver_components(mat) -> Dict[int, int]:
     """Driver union-find over a materialized edge Dataset (Arrow or pandas
-    blocks) → {node: label} for every non-root node. Each block is
-    projected to its src/dst columns where it lives, so no other column
-    reaches the driver."""
-    from .relational import _block_refs
-    uf = _UnionFind()
-    for src, dst in ray.get([_src_dst.remote(b) for b in _block_refs(mat)]):
-        for a, c in zip(src.tolist(), dst.tolist()):
-            uf.union(a, c)
-    return {n: uf.find(n) for n in list(uf.parent)}
+    blocks). Each block is projected to its distinct src/dst pairs where
+    it lives, so no other column reaches the driver."""
+    return _union_labels(_project_blocks(mat)[1])
 
 
 def _forest_tail(edges_ds, contraction_passes: int = 2,
@@ -458,19 +505,31 @@ def _forest_tail(edges_ds, contraction_passes: int = 2,
 def connected_components(edges_ds, contraction_passes: int = 2,
                          driver_limit: int = 5_000_000,
                          fan_in: Optional[int] = None,
-                         max_passes: int = 32) -> Dict[int, int]:
+                         max_passes: int = 32,
+                         project: Optional[Callable] = None) -> Dict[int, int]:
     """Edge Dataset → {node: component_label} (label = min node id; roots
     are absent, so consumers resolve with ``labels.get(n, n)``).
 
-    The materialized edge count is measured first: within ``driver_limit``
-    the edges go straight to driver union-find. Only above it do the
-    distributed contraction passes run (``_forest_tail``, which takes the
-    other arguments), and their forest tail goes to the driver instead."""
+    ``project(pa.Table) -> edges``: when given, ``edges_ds`` holds rows
+    and each block's edges are ``project`` of the block, computed where
+    the block lives; no edge Dataset is ever materialized.
+
+    One task per block projects it to its raw edge count and its distinct
+    (src, dst) pairs. The gate reads the counts first: while their sum
+    (the raw, pre-dedup edge count) is within ``driver_limit``, the pairs
+    go to driver union-find. Above it no pair array is fetched: the
+    distributed contraction passes run over the (lazily projected) edges
+    (``_forest_tail``, which takes the other arguments), and their forest
+    tail goes to the driver instead."""
     mat = edges_ds.materialize()
-    if mat.count() > driver_limit:
-        mat = _forest_tail(mat, contraction_passes, driver_limit, fan_in,
-                           max_passes)
-    return _driver_components(mat)
+    counts, pairs = _project_blocks(mat, project)
+    if sum(ray.get(counts)) <= driver_limit:
+        return _union_labels(pairs)
+    del pairs
+    edges = mat if project is None else mat.map_batches(
+        project, batch_format='pyarrow', batch_size=None)
+    return _driver_components(_forest_tail(edges, contraction_passes,
+                                           driver_limit, fan_in, max_passes))
 
 
 # --- NASTyLinker component splitting --------------------------------------
@@ -791,6 +850,11 @@ def edin_clusters(linked_mentions_ds,
     return bucketed_map(tagged, ['component'], vote)
 
 
+def _distinct_rows(t: pa.Table) -> pa.Table:
+    """``t`` with exact-duplicate rows dropped (nulls compare equal)."""
+    return t.group_by(t.column_names, use_threads=False).aggregate([])
+
+
 def canonicalize(linked_mentions_ds,
                  me_threshold: float = MENTION_ENTITY_THRESHOLD,
                  mm_threshold: float = MENTION_MENTION_THRESHOLD,
@@ -802,62 +866,81 @@ def canonicalize(linked_mentions_ds,
     name its entity clusters from the edges' ``ent`` column. Only the CC
     node map reaches the driver; it is broadcast back once.
 
+    While the edges are a per-row function of the linked rows (see
+    ``_edge_source``), no edge Dataset is materialized: the rows are,
+    ``connected_components`` projects each row block to its edges where
+    it lives, and the exchange's keying map computes them again from the
+    same blocks, with exact-duplicate edge rows dropped. Only the salted
+    regime (above SURFACE_BROADCAST_LIMIT) materializes its edges.
+
     Without ``carried``: a Dataset (node:int64, cluster:int64,
     entity:string|null) over every alignment-graph node, where entity is
     the linked entity name for entity-labeled clusters and null for
     NEW_ENTITY clusters (reference entity_disambiguation/__init__.py:26-33:
     new ids assigned past the known-id space).
 
-    With ``carried = (rows_ds, schema, emit)``: every row of ``rows_ds``
-    (cast to ``schema``, which holds an int64 ``mention_uid`` and no
-    column named like an edge column) rides the same exchange to its
-    mention's component bucket and gets ``cluster`` (its own uid when the
-    mention has no edge) and ``entity`` appended; ``emit(pa.Table) ->
-    pa.Table`` turns each bucket's carried rows into the returned rows.
+    With ``carried = (row_filter, schema, emit)``: the rows that
+    ``row_filter(pa.Table) -> pa.Table`` selects from each block of the
+    input's own rows (cast to ``schema``, which holds an int64
+    ``mention_uid`` and no column named like an edge column) ride the same
+    exchange to their mention's component bucket and get ``cluster`` (the
+    row's own uid when the mention has no edge) and ``entity`` appended;
+    ``emit(pa.Table) -> pa.Table`` turns each bucket's carried rows into
+    the returned rows.
     """
     import ray.data as rd
 
     from ..state.broadcast import get_broadcast
     from .relational import _coarse_key, bucket_exchange, default_coarse
 
-    edges = build_alignment_edges(linked_mentions_ds, me_threshold, mm_threshold,
-                                  total_rows=total_rows)
-    edges = edges.materialize()  # reused twice (CC + exchange); bounded by mention count
-    labels = connected_components(edges)
+    row_filter, carried_schema, emit = carried or (None, pa.schema([]), None)
+    src, project = _edge_source(linked_mentions_ds, me_threshold, mm_threshold,
+                                total_rows=total_rows,
+                                keep_columns=carried is not None)
+    src = src.materialize()  # CC and the exchange both read it
+    labels = connected_components(src, project=project)
     if not labels and carried is None:
         return rd.from_arrow(pa.Table.from_pydict(
             {'node': pa.array([], pa.int64()), 'cluster': pa.array([], pa.int64()),
              'entity': pa.array([], pa.string())}))
     labels_ref = ray.put(labels)
     coarse = default_coarse()
-    rows_ds, carried_schema, emit = carried or (None, pa.schema([]), None)
 
-    def tagger(key: str, lead: pa.Schema, own: Optional[pa.Schema],
-               trail: pa.Schema):
-        """Rows (cast to ``own`` when given) → ``_coarse``, ``_comp`` =
-        label of ``key``, then edge columns before carried ones: the other
-        side's are typed nulls, so every block has one schema."""
-        def tag(t: pa.Table) -> pa.Table:
-            if own is not None:
-                t = t.select(own.names).cast(own)
-            comp = _label_of(get_broadcast(labels_ref), t.column(key).to_numpy())
-            ck = _coarse_key(pd.DataFrame({'c': comp}), ['c'], coarse)
+    def tag(t: pa.Table, key: str, lead: pa.Schema,
+            trail: pa.Schema) -> pa.Table:
+        """Rows → ``_coarse``, ``_comp`` = label of ``key``, then edge
+        columns before carried ones: the other side's are typed nulls, so
+        every block has one schema."""
+        comp = _label_of(get_broadcast(labels_ref), t.column(key).to_numpy())
+        ck = _coarse_key(pd.DataFrame({'c': comp}), ['c'], coarse)
 
-            def nulls(schema):
-                return [pa.nulls(t.num_rows, f.type) for f in schema]
-            return pa.Table.from_arrays(
-                [pa.array(ck.to_numpy(), pa.int32()), pa.array(comp, pa.int64())]
-                + nulls(lead) + t.columns + nulls(trail),
-                names=['_coarse', '_comp'] + lead.names + t.column_names
-                + trail.names)
-        return tag
+        def nulls(schema):
+            return [pa.nulls(t.num_rows, f.type) for f in schema]
+        return pa.Table.from_arrays(
+            [pa.array(ck.to_numpy(), pa.int32()), pa.array(comp, pa.int64())]
+            + nulls(lead) + t.columns + nulls(trail),
+            names=['_coarse', '_comp'] + lead.names + t.column_names
+            + trail.names)
 
-    tagged = edges.map_batches(tagger('src', pa.schema([]), None, carried_schema),
-                               batch_format='pyarrow', batch_size=None)
-    if carried is not None:
-        tagged = tagged.union(rows_ds.map_batches(
-            tagger('mention_uid', EDGE_SCHEMA, carried_schema, pa.schema([])),
-            batch_format='pyarrow', batch_size=None))
+    def key_edges(t: pa.Table) -> pa.Table:
+        return tag(_distinct_rows(t if project is None else project(t)),
+                   'src', pa.schema([]), carried_schema)
+
+    def key_carried(t: pa.Table) -> pa.Table:
+        rows = row_filter(t).select(carried_schema.names).cast(carried_schema)
+        return tag(rows, 'mention_uid', EDGE_SCHEMA, pa.schema([]))
+
+    # one keying map per block of ``src``: its edges, and its carried rows
+    # when ``src`` holds the rows; the salted regime's edges are a Dataset
+    # apart from the rows, so its carried rows join them by a union
+    from_rows = carried is not None and project is not None
+    tagged = src.map_batches(
+        lambda t: pa.concat_tables([key_edges(t)] + (
+            [key_carried(t)] if from_rows else [])),
+        batch_format='pyarrow', batch_size=None)
+    if carried is not None and project is None:
+        tagged = tagged.union(linked_mentions_ds.map_batches(
+            key_carried, batch_format='pyarrow', batch_size=None))
 
     def resolve(bucket: pa.Table) -> pa.Table:
         is_edge = pc.is_valid(bucket.column('src'))

@@ -94,3 +94,51 @@ def test_flagship_on_documents_smoke(ray_session):
     rows = ds.take(50)
     assert len(rows) > 0
     assert set(rows[0].keys()) == {'subj', 'pred', 'obj', 'is_literal'}
+
+
+def test_flagship_auto_linking_gate_matches_both_regimes(
+        ray_session, small_corpus, monkeypatch):
+    """``linking='auto'`` counts the mentions and picks join linking above
+    ALIAS_BROADCAST_LIMIT (forced to 0 here), broadcast linking at the
+    default: each gives the triples of the regime it picked."""
+    from caligraph_ray import config
+    assert _run(small_corpus, linking='auto') == \
+        _run(small_corpus, linking='broadcast')
+    monkeypatch.setattr(config, 'ALIAS_BROADCAST_LIMIT', 0)
+    assert _run(small_corpus, linking='auto') == \
+        _run(small_corpus, linking='join')
+
+
+def test_flagship_redirects_direct_matches_checkpointed(
+        ray_session, small_corpus, tmp_path):
+    """A direct run with redirects (which folds 03_mentions and drops its
+    own handle on 01_combined) equals the checkpointed run with the same
+    redirects, and the redirects change the triples. The checkpointed
+    run still writes 02_categories and 03_mentions, with the same rows as
+    01_combined's category and mention rows."""
+    import os
+
+    import pandas as pd
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
+    from caligraph_ray.stages.relational import collect_pandas
+    from caligraph_ray.state.checkpoint import pipeline_report
+
+    def redirects():
+        return rd.from_pandas(pd.DataFrame({'src': ['Bern', 'Paris'],
+                                            'tgt': ['Berlin', 'Pariss']}))
+
+    direct = _run(small_corpus, redirects_ds=redirects())
+    assert direct != _run(small_corpus)
+    root = str(tmp_path)
+    ckpt = run_flagship_checkpointed(
+        rd.from_arrow(small_corpus).repartition(4), root,
+        redirects_ds=redirects())
+    assert {(r['subj'], r['pred'], r['obj'], r['is_literal'])
+            for r in ckpt.take_all()} == direct
+
+    rows = {k: v['rows_out'] for k, v in pipeline_report(root).items()}
+    kinds = collect_pandas(rd.read_parquet(os.path.join(root, '01_combined'))
+                           .select_columns(['kind']))['kind'].value_counts()
+    assert rows['02_categories'] == kinds['cat'] == 112
+    assert rows['03_mentions'] == kinds['m'] == 562

@@ -7,13 +7,19 @@ norm_surface exchange, and canonicalizes inside one component exchange.
   one, and the whole ``run_flagship(linking='join', canon='join')``
   exactly three (the linking exchange, the component exchange and the
   sink dedup), with no ``shuffle_join`` and no ``Dataset.unique``.
+* Streaming-execution counts of whole flagship runs, pinned with
+  ``state.executions.count_executions``: no mention count pass, no
+  categories barrier and no materialized alignment edges on a direct run.
+* The connected-components gate reads the raw edge counts of the
+  per-block projection, and above ``driver_limit`` fetches no pair array.
 * Edge inputs for the surface kernel, in both exchange regimes: its
   (entity, link_score) equal the broadcast ``link_mentions`` result, and
   the component partition of its edges equals a plain-Python star
   construction's.
 * Edge inputs for the component exchange, in both exchange regimes and
   both connected-components regimes (driver union-find, and contraction
-  forced by a ``driver_limit`` under the edge count): ``canonicalize()``'s
+  forced by a ``driver_limit`` under the edge count), and in the salted
+  edge regime: ``canonicalize()``'s
   node map and the join tail's subject triples equal a plain-Python
   ``_UnionFind`` + ``_split_component`` reference, and the join flagship
   equals ``oracle_triples`` on pages with re-fetched URLs and one
@@ -52,6 +58,14 @@ def exchange_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def executions():
+    """Names of the streaming executions the test body starts."""
+    from caligraph_ray.state.executions import count_executions
+    with count_executions() as names:
+        yield names
+
+
 def _mentions(small_corpus):
     import ray.data as rd
     from caligraph_ray.stages.alias import explode_mentions
@@ -83,14 +97,42 @@ def test_canonicalize_makes_one_exchange(ray_session, small_corpus,
 
 
 def test_join_flagship_makes_three_exchanges(ray_session, small_corpus,
-                                             exchange_calls):
+                                             exchange_calls, executions):
+    """Four streaming executions on ``small_corpus`` (seven before the
+    mention count, the categories barrier and the materialized alignment
+    edges went): the parse into the slim union, the linking exchange's
+    input, the component exchange's input and the sink dedup's input."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship
     out = run_flagship(rd.from_arrow(small_corpus), linking='join',
                        canon='join')
+    assert len(executions) == 4, executions
     assert out.count() > 0
     assert exchange_calls == {'bucket_exchange': 3, 'shuffle_join': 0,
                               'unique': 0}
+
+
+def test_scored_flagship_executions(ray_session, small_corpus, executions):
+    """Six streaming executions on ``small_corpus`` (eight before the
+    mention count and the categories barrier went)."""
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import run_flagship
+    out = run_flagship(rd.from_arrow(small_corpus), linking='scored')
+    assert len(executions) == 6, executions
+    assert out.count() > 0
+
+
+def test_checkpointed_flagship_executions(ray_session, small_corpus,
+                                          executions, tmp_path):
+    """Under the checkpointing hook every stage stays a materialized,
+    written stage: eleven streaming executions on ``small_corpus`` with
+    the default settings, as before the direct-run savings."""
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
+    out = run_flagship_checkpointed(rd.from_arrow(small_corpus),
+                                    str(tmp_path))
+    assert len(executions) == 11, executions
+    assert out.count() > 0
 
 
 # --- edge inputs -------------------------------------------------------------
@@ -284,9 +326,9 @@ COMPONENT_CASES = {
 
 def _set_regimes(monkeypatch, exchange, cc):
     """Force the large exchange and/or contraction in connected_components
-    (a driver_limit one under the edge count, which is above the forest
-    floor whenever the edges hold a cycle). Returns the list of edge
-    counts that were contracted."""
+    (a driver_limit one under the raw edge count, which is above the
+    forest floor whenever the edges hold a cycle or a duplicate). Returns
+    the list of edge counts that were contracted."""
     if exchange == 'large':
         monkeypatch.setattr(relational, 'SMALL_EXCHANGE_BYTES', -1)
     contracted = []
@@ -294,7 +336,10 @@ def _set_regimes(monkeypatch, exchange, cc):
         real = canon_mod.connected_components
 
         def contracting(edges_ds, **kw):
-            e = relational.collect_pandas(edges_ds)
+            project = kw.get('project')
+            e = relational.collect_pandas(
+                edges_ds if project is None else edges_ds.map_batches(
+                    project, batch_format='pyarrow', batch_size=None))
             uf = _UnionFind()
             for a, b in zip(e.get('src', []), e.get('dst', [])):
                 uf.union(int(a), int(b))
@@ -305,6 +350,15 @@ def _set_regimes(monkeypatch, exchange, cc):
 
         monkeypatch.setattr(canon_mod, 'connected_components', contracting)
     return contracted
+
+
+def _node_map(ds):
+    """canonicalize() rows → {node: (cluster, entity or None)}."""
+    t = relational.collect_pandas(ds)
+    if t.empty:
+        return {}
+    return {int(n): (int(c), e if isinstance(e, str) else None)
+            for n, c, e in zip(t['node'], t['cluster'], t['entity'])}
 
 
 def _triple_set(ds):
@@ -326,16 +380,30 @@ def test_component_exchange_edge_inputs(ray_session, monkeypatch, case,
     contracted = _set_regimes(monkeypatch, exchange, cc)
     ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
 
-    got = relational.collect_pandas(canon_mod.canonicalize(ds))
-    got_nodes = {} if got.empty else {
-        int(n): (int(c), e if isinstance(e, str) else None)
-        for n, c, e in zip(got['node'], got['cluster'], got['entity'])}
-    assert got_nodes == want_nodes
+    assert _node_map(canon_mod.canonicalize(ds)) == want_nodes
     assert _triple_set(_assemble_triples_join(
         ds, MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
         PATH_THRESHOLD)) == want_triples
     if cc == 'contract' and case != 'no_edges':
         assert len(contracted) == 2   # both calls contracted
+
+
+@pytest.mark.parametrize('case', sorted(COMPONENT_CASES))
+def test_component_exchange_salted_regime(ray_session, case):
+    """Above SURFACE_BROADCAST_LIMIT the star edges come from the salted
+    groupby as an edge Dataset of their own, and the carried subject rows
+    join the exchange by a union: same node map and triples."""
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import _assemble_triples_join
+    rows = COMPONENT_CASES[case]
+    want_nodes, want_triples = _reference(rows)
+    ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
+    total = canon_mod.SURFACE_BROADCAST_LIMIT + 1
+    assert _node_map(canon_mod.canonicalize(ds, total_rows=total)) == \
+        want_nodes
+    assert _triple_set(_assemble_triples_join(
+        ds, MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
+        PATH_THRESHOLD, total_rows=total)) == want_triples
 
 
 def _refetch_pages():
@@ -372,3 +440,70 @@ def test_join_flagship_refetched_hot_component_matches_oracle(
                                    linking='join', canon='join'))
     assert got == oracle_triples(pages)
     assert len(contracted) == (1 if cc == 'contract' else 0)
+
+
+def test_cc_gate_reads_raw_counts_and_fetches_no_pairs_above_it(
+        ray_session, monkeypatch):
+    """One block of linked rows whose edges repeat: the gate compares
+    ``driver_limit`` with the raw edge count, so a limit at the distinct
+    count still contracts, and then none of the projection's pair arrays
+    is fetched; at the raw count the pairs go to driver union-find. Both
+    give the reference labels."""
+    import ray
+    import ray.data as rd
+    rows = [(1, 1, 'E', 1.0), (1, 1, 'E', 1.0), (2, 1, 'E', 1.0),
+            (2, 1, None, 0.0), (3, 1, None, 0.0), (5, 5, 'F', 1.0),
+            (6, 5, None, 0.0), (6, 5, None, 0.0)]
+    ds = rd.from_pandas(pd.DataFrame({
+        'mention_uid': pd.Series([r[0] for r in rows], dtype='int64'),
+        'surface_rep': pd.Series([r[1] for r in rows], dtype='int64'),
+        'entity': pd.Series([r[2] for r in rows], dtype=object),
+        'link_score': pd.Series([r[3] for r in rows], dtype='float64')})
+    ).repartition(1).materialize()
+    src, project = canon_mod._edge_source(ds, MENTION_ENTITY_THRESHOLD,
+                                          MENTION_MENTION_THRESHOLD)
+    assert src is ds
+    raw = [(1, entity_node_id('E')), (1, entity_node_id('E')),
+           (2, entity_node_id('E')), (1, 2), (1, 2), (1, 3),
+           (5, entity_node_id('F')), (5, 6), (5, 6)]
+    uf = _UnionFind()
+    for a, b in raw:
+        uf.union(a, b)
+    want = {n: uf.find(n) for n in list(uf.parent)}
+
+    projected, fetched, contracted = [], set(), []
+    real_project, real_get = canon_mod._project_blocks, ray.get
+    real_tail = canon_mod._forest_tail
+
+    def recording_project(mat, proj=None):
+        out = real_project(mat, proj)
+        projected.append(out)
+        return out
+
+    def recording_get(refs, *a, **kw):
+        fetched.update(refs if isinstance(refs, list) else [refs])
+        return real_get(refs, *a, **kw)
+
+    def recording_tail(edges, *a, **kw):
+        contracted.append(True)
+        return real_tail(edges, *a, **kw)
+
+    monkeypatch.setattr(canon_mod, '_project_blocks', recording_project)
+    monkeypatch.setattr(ray, 'get', recording_get)
+    monkeypatch.setattr(canon_mod, '_forest_tail', recording_tail)
+
+    got = canon_mod.connected_components(ds, driver_limit=len(set(raw)),
+                                         project=project)
+    assert got == want
+    assert contracted == [True]
+    counts, pairs = projected[0]
+    assert set(counts) <= fetched
+    assert not set(pairs) & fetched
+
+    projected.clear()
+    contracted.clear()
+    got = canon_mod.connected_components(ds, driver_limit=len(raw),
+                                         project=project)
+    assert got == want
+    assert contracted == []
+    assert set(projected[0][1]) <= fetched

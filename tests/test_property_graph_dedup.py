@@ -5,7 +5,9 @@ These target the *distributed* plumbing (contraction passes, arrow LSH
 exchanges, per-batch sketch merge) — the brute references recompute the
 declared contract from scratch:
 
-* connected_components  ≡ union-find, label = min node id of the component
+* connected_components  ≡ union-find, label = min node id of the component,
+  also over a per-block edge projection whose blocks repeat edges
+* _split_component      unchanged by dropping exact-duplicate edge rows
 * closure_pairs         ≡ BFS transitive closure over a random DAG
 * exact_dedup           ≡ groupby(text).min(id)
 * ngram_jaccard_pairs   ≡ ALL pairs with exact shingle-Jaccard ≥ t
@@ -78,6 +80,114 @@ def test_connected_components_matches_union_find(ray_session, edges, passes):
     for got in (direct, contracted):
         for n, lbl in want.items():
             assert got.get(n, n) == lbl, (n, got, want)
+
+
+@st.composite
+def edge_blocks(draw):
+    """An edge list spread over 1-3 blocks, plus repeats of some of its
+    edges, each in a block of its own draw."""
+    edges = draw(edge_list())
+    n_blocks = draw(st.integers(min_value=1, max_value=3))
+    blocks = [[] for _ in range(n_blocks)]
+    for e in edges:
+        blocks[draw(st.integers(0, n_blocks - 1))].append(e)
+    for e in draw(st.lists(st.sampled_from(edges), max_size=10)):
+        blocks[draw(st.integers(0, n_blocks - 1))].append(e)
+    return blocks
+
+
+@SETTINGS
+@given(edge_blocks())
+def test_projected_components_match_union_find(ray_session, blocks):
+    """``connected_components`` over rows whose edges are a per-block
+    projection: each block's task returns its raw edge count and its
+    distinct pairs, and the labels equal ``_UnionFind`` over the raw
+    edges. The input also holds an empty Arrow block and a column-less
+    empty block (what ``_small_exchange`` returns for an empty part)."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from caligraph_ray.stages import canonicalize as canon_mod
+
+    def rows(block):
+        return pa.table({'a': pa.array([a for a, _ in block], pa.int64()),
+                         'b': pa.array([b for _, b in block], pa.int64())})
+
+    def project(t):
+        return pa.table({'src': t.column('a'), 'dst': t.column('b')})
+
+    parts = [rows(b) for b in blocks] + [rows([]), pd.DataFrame()]
+    ds = rd.from_pandas_refs([ray.put(p) for p in parts]).materialize()
+    raw = [e for b in blocks for e in b]
+    uf = canon_mod._UnionFind()
+    for a, b in raw:
+        uf.union(a, b)
+    want = {n: uf.find(n) for n in {n for e in raw for n in e}}
+
+    counts, pairs = canon_mod._project_blocks(ds, project)
+    assert ray.get(counts) == [len(b) for b in blocks] + [0, 0]
+    for (src, dst), b in zip(ray.get(pairs), blocks + [[], []]):
+        assert sorted(zip(src.tolist(), dst.tolist())) == sorted(set(b))
+
+    limits = [len(raw)]
+    if len(raw) > len(uf.parent):   # a cycle or a repeat: contraction fits
+        limits.append(len(raw) - 1)
+    for limit in limits:
+        got = canon_mod.connected_components(ds, driver_limit=limit,
+                                             project=project)
+        for n, lbl in want.items():
+            assert got.get(n, n) == lbl, (limit, n, got, want)
+
+
+@st.composite
+def split_edges(draw):
+    """Weighted edges among mentions 0-6 and entities -1..-3, with exact
+    repeats, and a path threshold."""
+    node = st.integers(min_value=-3, max_value=6)
+    weight = st.sampled_from([1.0, 0.9, 0.8, 0.6])
+    edges = draw(st.lists(st.tuples(node, node, weight), min_size=1,
+                          max_size=14))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=8))
+    edges = draw(st.permutations(edges))
+    return edges, draw(st.sampled_from([0.5, 0.75, 0.85]))
+
+
+@SETTINGS
+@given(split_edges())
+def test_distinct_edge_rows_keep_split_assignment(case):
+    """The component exchange drops exact-duplicate edge rows
+    (``_distinct_rows``); ``_split_component`` and ``_split_bucket`` give
+    the same assignment and names with and without the repeats."""
+    import pyarrow as pa
+    from caligraph_ray.stages.canonicalize import (_distinct_rows,
+                                                   _split_bucket,
+                                                   _split_component)
+    edges, threshold = case
+    nodes = sorted({n for e in edges for n in e[:2]})
+    distinct = list(dict.fromkeys(edges))
+    assert _split_component(nodes, distinct, threshold) == \
+        _split_component(nodes, edges, threshold)
+
+    uf = {}
+
+    def find(x):
+        while uf.get(x, x) != x:
+            x = uf[x]
+        return x
+    for a, b, _ in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            uf[max(ra, rb)] = min(ra, rb)
+    table = pa.table({
+        '_comp': pa.array([find(a) for a, _, _ in edges], pa.int64()),
+        'src': pa.array([a for a, _, _ in edges], pa.int64()),
+        'dst': pa.array([b for _, b, _ in edges], pa.int64()),
+        'weight': pa.array([w for _, _, w in edges], pa.float64()),
+        'ent': pa.array([f'E{-b}' if b < 0 else None for _, b, _ in edges],
+                        pa.string())})
+    deduped = _distinct_rows(table)
+    assert deduped.num_rows == len(distinct)
+    assert _split_bucket(deduped, threshold) == _split_bucket(table, threshold)
 
 
 @SETTINGS

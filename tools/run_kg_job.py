@@ -57,14 +57,16 @@ def main():
 
     from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
     from caligraph_ray.state.checkpoint import pipeline_report
+    from caligraph_ray.state.executions import count_executions
     from caligraph_ray.stages.relational import strip_schema_metadata
 
     t0 = time.time()
-    pages = strip_schema_metadata(rd.read_parquet(args.input))
-    n_pages = pages.count()
-    triples = run_flagship_checkpointed(pages, args.root,
-                                        linking=args.linking)
-    n_triples = triples.count()
+    with count_executions() as executions:
+        pages = strip_schema_metadata(rd.read_parquet(args.input))
+        n_pages = pages.count()
+        triples = run_flagship_checkpointed(pages, args.root,
+                                            linking=args.linking)
+        n_triples = triples.count()
     wall = time.time() - t0
 
     metrics = {
@@ -77,6 +79,9 @@ def main():
         'pages_per_sec': round(n_pages / wall, 1) if wall else None,
         'triples_per_sec': round(n_triples / wall, 1) if wall else None,
         'cluster_cpus': int(ray.cluster_resources().get('CPU', 0)),
+        # serial Ray Data streaming executions of this job, each with a
+        # fixed start-up cost; a resumed stage skips its build's
+        'streaming_executions': len(executions),
         'finished_ts': time.time(),
         # where the time went: each stage's rows, files and wall time as its
         # _LINEAGE.json recorded them (a resumed stage keeps its first build's)

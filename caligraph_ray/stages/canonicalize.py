@@ -15,10 +15,11 @@ While the edges are a per-row function of materialized linked rows
 task per row block projects the block to its raw edge count and its
 distinct (src, dst) pairs. Connected components read the counts first:
 while their sum is within the driver limit the pairs go to driver
-union-find. Above it no pair array reaches the driver; the edges run as
-repeated block-local union-find contractions (per-partition spanning
-forests, the distributed analogue of the reference's bottom-up clustering
-D5, matching/bottomup_clustering.py:33-83): each pass shrinks every block
+union-find. Above it no pair array reaches the driver; the distinct pairs,
+left where their tasks stored them, run as repeated block-local union-find
+contractions (per-partition spanning forests, the distributed analogue of
+the reference's bottom-up clustering D5,
+matching/bottomup_clustering.py:33-83): each pass shrinks every block
 of edges to ≤ nodes-1 forest edges, a shuffle-repartition remixes blocks,
 and the tail (provably ≤ #distinct nodes - #components edges) finishes
 with driver union-find. One exchange keyed on the component then splits
@@ -174,8 +175,7 @@ def build_alignment_edges(linked_mentions_ds,
 def _edge_source(linked_mentions_ds, me_threshold: float, mm_threshold: float,
                  mm_score: float = MM_SCORE,
                  hot_threshold: int = HOT_KEY_THRESHOLD,
-                 total_rows: Optional[int] = None,
-                 keep_columns: bool = False):
+                 total_rows: Optional[int] = None):
     """linked mention rows → ``(rows, project)`` when the alignment edges
     are a per-row function of ``rows`` (``project(pa.Table)`` gives a
     block's edges), else ``(edges, None)``.
@@ -184,8 +184,8 @@ def _edge_source(linked_mentions_ds, me_threshold: float, mm_threshold: float,
     both edge kinds per row with no exchange. Rows without it get it from
     ``alias.link_surface_bucket`` in one ``bucketed_map`` while
     ``total_rows`` (free on a materialized input) is unknown or within
-    SURFACE_BROADCAST_LIMIT; that exchange moves only the edge columns
-    unless ``keep_columns``. Above the limit the stars come from a salted
+    SURFACE_BROADCAST_LIMIT; that exchange moves only the four columns the
+    edges read. Above the limit the stars come from a salted
     groupby, and the edges are a Dataset of their own. A schema unknown
     without executing counts as no ``surface_rep``."""
     def project(stars: bool):
@@ -201,12 +201,10 @@ def _edge_source(linked_mentions_ds, me_threshold: float, mm_threshold: float,
         if not has_rep:
             from .alias import link_surface_bucket
             from .relational import bucketed_map
-            rows = linked_mentions_ds if keep_columns else \
-                linked_mentions_ds.select_columns(
-                    ['mention_uid', 'norm_surface', 'entity', 'link_score'])
             linked_mentions_ds = bucketed_map(
-                rows, ['norm_surface'],
-                lambda t: link_surface_bucket(t, link=False),
+                linked_mentions_ds.select_columns(
+                    ['mention_uid', 'norm_surface', 'entity', 'link_score']),
+                ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
                 batch_format='pyarrow')
         return linked_mentions_ds, project(True)
 
@@ -406,17 +404,19 @@ def connected_components_ds(edges_ds, max_rounds: int = 64):
 def _src_dst(block, project: Optional[Callable] = None):
     """The per-block projection: one block (Arrow or pandas; an empty
     reducer output may have no columns) → (its raw edge count, its
-    distinct (src, dst) pairs as a 2×n array), after ``project(pa.Table)``
-    maps a row block to its edges when given. The count is a separate
-    return, so the driver can read it without fetching the pairs."""
+    distinct (src, dst) pairs as an Arrow table), after
+    ``project(pa.Table)`` maps a row block to its edges when given. The
+    count is a separate return, so the driver can read it without
+    fetching the pairs."""
     if not len(block):
-        return 0, np.empty((2, 0), np.int64)
+        return 0, pa.table({'src': pa.array([], pa.int64()),
+                            'dst': pa.array([], pa.int64())})
     if project is not None:
         from ray.data.block import BlockAccessor
         block = project(BlockAccessor.for_block(block).to_arrow())
-    pairs = np.stack([np.asarray(block['src'], np.int64),
-                      np.asarray(block['dst'], np.int64)])
-    return pairs.shape[1], np.unique(pairs, axis=1)
+    pairs = pa.table({'src': pa.array(np.asarray(block['src'], np.int64)),
+                      'dst': pa.array(np.asarray(block['dst'], np.int64))})
+    return pairs.num_rows, _distinct_rows(pairs)
 
 
 def _project_blocks(mat, project: Optional[Callable] = None):
@@ -427,11 +427,12 @@ def _project_blocks(mat, project: Optional[Callable] = None):
 
 
 def _union_labels(pair_refs) -> Dict[int, int]:
-    """Driver union-find over fetched pair arrays → {node: label} for
+    """Driver union-find over fetched pair tables → {node: label} for
     every non-root node."""
     uf = _UnionFind()
-    for src, dst in ray.get(pair_refs):
-        for a, c in zip(src.tolist(), dst.tolist()):
+    for t in ray.get(pair_refs):
+        for a, c in zip(t.column('src').to_numpy().tolist(),
+                        t.column('dst').to_numpy().tolist()):
             uf.union(a, c)
     return {n: uf.find(n) for n in list(uf.parent)}
 
@@ -518,18 +519,17 @@ def connected_components(edges_ds, contraction_passes: int = 2,
     (src, dst) pairs. The gate reads the counts first: while their sum
     (the raw, pre-dedup edge count) is within ``driver_limit``, the pairs
     go to driver union-find. Above it no pair array is fetched: the
-    distributed contraction passes run over the (lazily projected) edges
-    (``_forest_tail``, which takes the other arguments), and their forest
-    tail goes to the driver instead."""
-    mat = edges_ds.materialize()
-    counts, pairs = _project_blocks(mat, project)
+    distinct pairs stay where their tasks stored them and are the input
+    of the distributed contraction passes (``_forest_tail``, which takes
+    the other arguments), whose forest tail goes to the driver instead,
+    so no block is projected twice."""
+    import ray.data as rd
+    counts, pairs = _project_blocks(edges_ds.materialize(), project)
     if sum(ray.get(counts)) <= driver_limit:
         return _union_labels(pairs)
-    del pairs
-    edges = mat if project is None else mat.map_batches(
-        project, batch_format='pyarrow', batch_size=None)
-    return _driver_components(_forest_tail(edges, contraction_passes,
-                                           driver_limit, fan_in, max_passes))
+    return _driver_components(_forest_tail(rd.from_arrow_refs(pairs),
+                                           contraction_passes, driver_limit,
+                                           fan_in, max_passes))
 
 
 # --- NASTyLinker component splitting --------------------------------------
@@ -895,8 +895,11 @@ def canonicalize(linked_mentions_ds,
 
     row_filter, carried_schema, emit = carried or (None, pa.schema([]), None)
     src, project = _edge_source(linked_mentions_ds, me_threshold, mm_threshold,
-                                total_rows=total_rows,
-                                keep_columns=carried is not None)
+                                total_rows=total_rows)
+    # the carried rows ride the keying map of ``src`` when it is the rows
+    # themselves; otherwise (the ``link_surface_bucket`` exchange's four
+    # columns, or the salted regime's edges) they join it by a union
+    from_rows = carried is not None and src is linked_mentions_ds
     src = src.materialize()  # CC and the exchange both read it
     labels = connected_components(src, project=project)
     if not labels and carried is None:
@@ -930,15 +933,11 @@ def canonicalize(linked_mentions_ds,
         rows = row_filter(t).select(carried_schema.names).cast(carried_schema)
         return tag(rows, 'mention_uid', EDGE_SCHEMA, pa.schema([]))
 
-    # one keying map per block of ``src``: its edges, and its carried rows
-    # when ``src`` holds the rows; the salted regime's edges are a Dataset
-    # apart from the rows, so its carried rows join them by a union
-    from_rows = carried is not None and project is not None
     tagged = src.map_batches(
         lambda t: pa.concat_tables([key_edges(t)] + (
             [key_carried(t)] if from_rows else [])),
         batch_format='pyarrow', batch_size=None)
-    if carried is not None and project is None:
+    if carried is not None and not from_rows:
         tagged = tagged.union(linked_mentions_ds.map_batches(
             key_carried, batch_format='pyarrow', batch_size=None))
 

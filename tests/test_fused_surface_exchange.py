@@ -406,6 +406,29 @@ def test_component_exchange_salted_regime(ray_session, case):
         PATH_THRESHOLD, total_rows=total)) == want_triples
 
 
+def test_surface_bucket_exchange_moves_only_edge_columns(ray_session,
+                                                         monkeypatch):
+    """Rows without ``surface_rep`` get it from the ``link_surface_bucket``
+    exchange, which moves only the four columns the edges read, also when
+    subject rows are carried: those join the component exchange from the
+    linked rows themselves."""
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import _assemble_triples_join
+    rows = COMPONENT_CASES[sorted(COMPONENT_CASES)[0]]
+    ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
+    moved, real = [], relational.bucketed_map
+
+    def recording(ds_in, *a, **kw):
+        moved.append(ds_in.schema().names)
+        return real(ds_in, *a, **kw)
+
+    monkeypatch.setattr(relational, 'bucketed_map', recording)
+    assert _triple_set(_assemble_triples_join(
+        ds, MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
+        PATH_THRESHOLD)) == _reference(rows)[1]
+    assert moved == [['mention_uid', 'norm_surface', 'entity', 'link_score']]
+
+
 def _refetch_pages():
     """Ten fetches of four URLs: nine of ten items link one entity, the
     tenth links an entity of its own fetch, so re-fetches share its uid."""

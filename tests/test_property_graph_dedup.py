@@ -126,8 +126,9 @@ def test_projected_components_match_union_find(ray_session, blocks):
 
     counts, pairs = canon_mod._project_blocks(ds, project)
     assert ray.get(counts) == [len(b) for b in blocks] + [0, 0]
-    for (src, dst), b in zip(ray.get(pairs), blocks + [[], []]):
-        assert sorted(zip(src.tolist(), dst.tolist())) == sorted(set(b))
+    for t, b in zip(ray.get(pairs), blocks + [[], []]):
+        assert sorted(zip(t.column('src').to_pylist(),
+                          t.column('dst').to_pylist())) == sorted(set(b))
 
     limits = [len(raw)]
     if len(raw) > len(uf.parent):   # a cycle or a repeat: contraction fits

@@ -20,9 +20,8 @@ CAT2AX_PATTERN_CONF = 0.05
 MENTION_MENTION_THRESHOLD = 0.8
 MENTION_ENTITY_THRESHOLD = 0.95
 PATH_THRESHOLD = 0.75
-# weight of the per-surface mention-mention star edges (one constant shared
-# by edge generation, the closed-form split and triple assembly — the three
-# must never drift)
+# weight of the per-surface mention-mention star edges (read by edge
+# generation; the component split takes the weight off each edge)
 MM_SCORE = 0.9
 
 # --- listing parsing guards (reference page_parser.py:256-258, 393-395, 411) ---

@@ -3,11 +3,10 @@
 read pages → map_batches(parse: text + listings + mentions) → flat item rows
 → explode mentions → link (broadcast alias index + stateless lookup tasks,
 one norm_surface exchange that links each surface bucket, or the scored ED
-stack as warm stateless tasks) → canonicalization and subject-triple
-emission (surface closed form, or alignment edges + connected components,
-then one component-keyed exchange that splits each component NASTyLinker
-style and emits its subject mentions' triples) → dedup/sort →
-hash-partitioned Parquet.
+stack as warm stateless tasks) → canonicalization: alignment edges +
+connected components, then one component-keyed exchange that splits each
+component NASTyLinker style and emits its subject mentions' triples →
+dedup/sort → hash-partitioned Parquet.
 
 Exercises every execution pattern of the north star: stateless Arrow
 map_batches, broadcast small-side join, per-process model caches, keyed
@@ -17,9 +16,9 @@ A direct run (no ``stage_hook``) materializes only what a later step
 reads more than once or needs as a barrier: the slim union, the linked
 rows and each exchange's input. The mention and category rows stay lazy
 views over the slim union, the mentions are counted only for the
-``linking='auto'`` gate, and the join path's alignment edges are computed
-per block of the linked rows, never materialized. At the benchmark's
-1,000 pages that is five serial streaming executions on the join path.
+``linking='auto'`` gate, and the alignment edges are computed per block
+of their source rows, never materialized. At the benchmark's 1,000 pages
+that is five serial streaming executions on the join path.
 """
 
 from __future__ import annotations
@@ -32,11 +31,9 @@ import pyarrow.compute as pc
 import ray
 
 from ..config import (MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
-                      MM_SCORE, PATH_THRESHOLD)
-from ..stages.alias import (build_alias_index, build_alias_index_local,
-                            entity_names_from_index, explode_mentions,
-                            link_mentions)
-from ..stages.canonicalize import canonicalize, entity_node_id
+                      PATH_THRESHOLD)
+from ..stages.alias import build_alias_index_local, link_mentions
+from ..stages.canonicalize import canonicalize
 from ..stages.triples import TRIPLES_SCHEMA, materialize_triples
 
 
@@ -98,7 +95,8 @@ def _scored_linked(mentions, embedder_factory=None, reranker_factory=None):
     name shards in the object store (ed.link_mentions_scored_sharded) —
     nothing dim-sized ever touches the driver, and the emitted links are
     bit-identical across regimes (pinned by test_flagship's forced-low-gate
-    comparison). Returns (linked_ds, ent_names_or_None)."""
+    comparison). Both regimes read only the ``name`` column of the
+    materialized distinct names."""
     from .. import config
     from ..stages.ed import link_mentions_scored, link_mentions_scored_sharded
     from ..stages.relational import arrow_filter, collect_pandas, two_phase_count
@@ -106,21 +104,20 @@ def _scored_linked(mentions, embedder_factory=None, reranker_factory=None):
     named = arrow_filter(
         mentions, lambda t: pc.and_(pc.is_valid(t['name']),
                                     pc.not_equal(t['name'], pa.scalar(''))))
-    names_ds = two_phase_count(
-        named.select_columns(['name']), ['name']).select_columns(['name']) \
+    names_ds = two_phase_count(named.select_columns(['name']), ['name']) \
         .materialize()
     if names_ds.count() <= config.SCORED_NAME_LIMIT:
-        ent_names = sorted(collect_pandas(names_ds)['name'])
         return link_mentions_scored(
-            mentions, ent_names, embedder_factory=embedder_factory,
-            reranker_factory=reranker_factory), ent_names
+            mentions, sorted(collect_pandas(names_ds)['name']),
+            embedder_factory=embedder_factory,
+            reranker_factory=reranker_factory)
     import logging
     logging.getLogger('caligraph_ray.flagship').warning(
         'scored-ED entity-name dim over budget (> %d); linking against '
         'object-store name shards', config.SCORED_NAME_LIMIT)
     return link_mentions_scored_sharded(
         mentions, names_ds, embedder_factory=embedder_factory,
-        reranker_factory=reranker_factory), None
+        reranker_factory=reranker_factory)
 
 
 def run_flagship(pages_ds, out_dir: Optional[str] = None,
@@ -128,8 +125,7 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
                  mm_threshold: float = MENTION_MENTION_THRESHOLD,
                  path_threshold: float = PATH_THRESHOLD,
                  concurrency: Optional[int] = None, linking: str = 'auto',
-                 redirects_ds=None, canon: str = 'auto',
-                 surface_budget: Optional[int] = None,
+                 redirects_ds=None, canon: str = 'join',
                  markup: str = 'html', embedder_factory=None,
                  reranker_factory=None, stage_hook=None):
     """pages Dataset (F1 schema) → deduped, sorted triples Dataset.
@@ -142,6 +138,8 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     stand-ins behind the real model interfaces, run as warm stateless tasks
     — stages/ed.py),
     or 'auto' (pick broadcast/join by mention volume vs ALIAS_BROADCAST_LIMIT).
+    Every linking mode canonicalizes through ``canonicalize()``'s
+    component exchange; ``canon`` accepts only 'join', which names it.
 
     ``stage_hook(name, build) -> Dataset`` intercepts every wide stage
     boundary (01_combined parse+slim-union, 02_categories, 03_mentions,
@@ -155,6 +153,10 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     from ..config import ALIAS_BROADCAST_LIMIT
     from ..stages.alias import link_mentions_join
     from ..stages.html_extract import parse_pages
+    if canon != 'join':
+        raise ValueError(
+            f"canon={canon!r}: the surface canonicalization path was removed; "
+            f"'join' (the component-exchange tail) is the only value")
     # ONE parse per page, fused straight into the mention/category
     # projection: only the SLIM (mentions ∪ cats) union is materialized —
     # never the full parsed item rows with their token lists, whose
@@ -203,38 +205,22 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     if linking == 'scored':
         # the constructor-swap seam reaches the full pipeline: pass
         # factories returning TRAINED models (functions/train_transformer)
-        # and the whole KG build runs on learned weights. ent_names rides a
-        # holder: on a hook-resumed run the build is skipped and ent_names
-        # stays None — _assemble_triples then derives the dim from `linked`
-        # itself, distributed.
-        _ent_holder = {}
-
-        def _build_scored():
-            linked_, names_ = _scored_linked(
-                mentions, embedder_factory=embedder_factory,
-                reranker_factory=reranker_factory)
-            _ent_holder['names'] = names_
-            return linked_
-
-        linked = run('04_linked', _build_scored)
-        ent_names = _ent_holder.get('names')
+        # and the whole KG build runs on learned weights
+        linked = run('04_linked', lambda: _scored_linked(
+            mentions, embedder_factory=embedder_factory,
+            reranker_factory=reranker_factory))
     elif use_join:
         linked = run('04_linked', lambda: link_mentions_join(mentions))
-        ent_names = None   # derived distributed inside _assemble_triples
     else:
-        index = build_alias_index_local(mentions)
-        index_ref = ray.put(index)
+        index_ref = ray.put(build_alias_index_local(mentions))
         linked = run('04_linked',
                      lambda: link_mentions(mentions, index_ref,
                                            concurrency=concurrency))
-        ent_names = entity_names_from_index(index)
 
     # block metadata on the materialized stage (Parquet metadata on a
     # resumed one), not an execution
     all_triples = _assemble_triples(linked, cats, me_threshold, mm_threshold,
-                                    path_threshold, ent_names=ent_names,
-                                    total_rows=linked.count(), canon=canon,
-                                    surface_budget=surface_budget)
+                                    path_threshold, linked.count())
     if stage_hook is not None:
         # default path streams the assembled triples straight into the
         # sink; under a hook they persist as their own resumable stage
@@ -247,9 +233,8 @@ def run_flagship_checkpointed(pages_ds, root: str,
                               mm_threshold: float = MENTION_MENTION_THRESHOLD,
                               path_threshold: float = PATH_THRESHOLD,
                               linking: str = 'broadcast',
-                              redirects_ds=None, canon: str = 'auto',
-                              surface_budget: Optional[int] = None,
-                              markup: str = 'html', **kw):
+                              redirects_ds=None, markup: str = 'html',
+                              **kw):
     """Checkpointed flagship: ``run_flagship`` with a ``stage_hook`` that
     persists every wide stage as Parquet + _LINEAGE.json + _SUCCESS under
     ``root`` — the SAME code path as the direct run (the data_prep.py
@@ -276,8 +261,7 @@ def run_flagship_checkpointed(pages_ds, root: str,
              'redirects': redirects_ds is not None}
     fp_link = fp_in | {'linking': linking}
     fp_cfg = fp_link | {'me': me_threshold, 'mm': mm_threshold,
-                        'path': path_threshold, 'canon': canon,
-                        'surface_budget': surface_budget}
+                        'path': path_threshold}
     fps = {'01_combined': fp_in, '02_categories': fp_in,
            '03_mentions': fp_in, '04_linked': fp_link,
            '05_triples': fp_cfg}
@@ -307,174 +291,58 @@ def run_flagship_checkpointed(pages_ds, root: str,
     return run_flagship(pages_ds, out_dir=out_dir,
                         me_threshold=me_threshold, mm_threshold=mm_threshold,
                         path_threshold=path_threshold, linking=linking,
-                        redirects_ds=redirects_ds, canon=canon,
-                        surface_budget=surface_budget, markup=markup,
+                        redirects_ds=redirects_ds, markup=markup,
                         stage_hook=hook, **kw)
-
-
-def _emit_subject_pairs(canon: pd.Series, urls: pd.Series,
-                        labels: pd.Series) -> pa.Table:
-    """Shared triple emission for both canonicalization paths: per subject
-    mention, (canon, mentionedIn, page) + (canon, label, surface-label)."""
-    import numpy as np
-    n = len(canon)
-    page = urls.str.rsplit('/', n=1).str[-1].str.replace('_', ' ', regex=False)
-    subj = np.repeat(canon.to_numpy(), 2)
-    obj = np.empty(2 * n, dtype=object)
-    obj[0::2] = page.to_numpy()
-    obj[1::2] = labels.to_numpy()
-    pred = np.empty(2 * n, dtype=object)
-    pred[0::2] = 'mentionedIn'
-    pred[1::2] = 'label'
-    lit = np.zeros(2 * n, dtype=bool)
-    lit[1::2] = True
-    return pa.Table.from_pydict(
-        {'subj': subj, 'pred': pred, 'obj': obj, 'is_literal': lit},
-        schema=TRIPLES_SCHEMA)
-
-
-def _ne_name(c) -> str:
-    return f'NE_{int(c) & 0x7FFFFFFFFFFFFFFF:x}'
 
 
 _SUBJECT_SCHEMA = pa.schema([('mention_uid', pa.int64()), ('url', pa.string()),
                              ('label', pa.string())])
 
 
-def _assemble_triples_join(linked, me_threshold, mm_threshold, path_threshold,
-                           total_rows: Optional[int] = None):
-    """The 10^12-row canonicalization tail: no surface-sized dim is
-    collected, unlike the surface closed form. Only the
-    connected-components node map reaches the driver (its size bounded by
-    ``connected_components``' ``driver_limit``) and is broadcast back
-    once. The subject mentions ride ``canonicalize()``'s component-keyed
-    exchange as carried rows, selected from each linked block by the same
-    keying map that computes the block's edges, so each bucket splits its
-    components, names the clusters and emits its subjects' triples in one
-    pass: a cluster's canonical name is its entity name, else
-    NE_<cluster>. Mentions absent
-    from the alignment graph (no qualifying link, unique surface) are
-    singletons named NE_<own uid>, exactly the surface path's ``rest``
-    branch. Label parity with the surface path is pinned by test_flagship's
-    forced-path comparison."""
-    def emit(t: pa.Table) -> pa.Table:
-        canon = [e if e is not None else _ne_name(c) for e, c in
-                 zip(t.column('entity').to_pylist(), t.column('cluster').to_pylist())]
-        return _emit_subject_pairs(pd.Series(canon, dtype=object),
-                                   t.column('url').to_pandas(),
-                                   t.column('label').to_pandas())
-
-    return canonicalize(linked, me_threshold, mm_threshold,
-                        path_threshold=path_threshold, total_rows=total_rows,
-                        carried=(_subjects_of, _SUBJECT_SCHEMA, emit))
+def _subject_triples(t: pa.Table) -> pa.Table:
+    """One component bucket's resolved subject rows → per subject mention,
+    (name, mentionedIn, page) + (name, label, surface-label): a cluster's
+    name is its entity name, else NE_<cluster>."""
+    import numpy as np
+    n = t.num_rows
+    name = [e if e is not None else f'NE_{int(c) & 0x7FFFFFFFFFFFFFFF:x}'
+            for e, c in zip(t.column('entity').to_pylist(),
+                            t.column('cluster').to_pylist())]
+    page = t.column('url').to_pandas().str.rsplit('/', n=1).str[-1] \
+        .str.replace('_', ' ', regex=False)
+    obj = np.empty(2 * n, dtype=object)
+    obj[0::2] = page.to_numpy()
+    obj[1::2] = t.column('label').to_numpy(zero_copy_only=False)
+    pred = np.empty(2 * n, dtype=object)
+    pred[0::2] = 'mentionedIn'
+    pred[1::2] = 'label'
+    lit = np.zeros(2 * n, dtype=bool)
+    lit[1::2] = True
+    return pa.Table.from_pydict(
+        {'subj': np.repeat(np.array(name, dtype=object), 2), 'pred': pred,
+         'obj': obj, 'is_literal': lit}, schema=TRIPLES_SCHEMA)
 
 
 def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
-                      ent_names: Optional[list] = None,
-                      total_rows: Optional[int] = None,
-                      canon: str = 'auto',
-                      surface_budget: Optional[int] = None):
-    """Canonicalize + emit; returns raw (pre-dedup) triples Dataset.
+                      total_rows: Optional[int] = None):
+    """Canonicalize + emit; returns the raw (pre-dedup) triples Dataset:
+    the subject triples of ``canonicalize()`` plus the category triples.
 
-    ``canon``: 'surface' (closed-form collapsed path; driver holds the
-    surface dim — fastest while it fits), 'join' (fully distributed
-    canonicalize() with in-bucket subject emission — the scale path), or
-    'auto': try the surface path under a MEASURED dim-cardinality budget
-    and fall back to the join path when canonicalize_surface raises
-    SurfaceDimOverBudget. Single-entity components resolve via a broadcast
-    surface→label dict (zero shuffle); only ambiguous multi-entity
-    components go through the mention-level split."""
-    from ..stages.canonicalize import (SURFACE_DIM_BUDGET,
-                                       SurfaceDimOverBudget,
-                                       canonicalize_surface)
-    if surface_budget is None:
-        surface_budget = SURFACE_DIM_BUDGET
-
-    def _with_cats(subj_triples):
-        return subj_triples.union(_category_triples(cats))
-
-    if canon == 'join':
-        return _with_cats(_assemble_triples_join(
-            linked, me_threshold, mm_threshold, path_threshold, total_rows))
-    try:
-        surf_label, multi_info = canonicalize_surface(
-            linked, me_threshold, mm_threshold, path_threshold=path_threshold,
-            total_rows=total_rows,
-            surface_budget=None if canon == 'surface' else surface_budget)
-    except SurfaceDimOverBudget as e:
-        import logging
-        logging.getLogger('caligraph_ray.flagship').warning(
-            'surface dim over budget (%s); routing to the distributed '
-            'canonicalize() component-exchange path', e)
-        return _with_cats(_assemble_triples_join(
-            linked, me_threshold, mm_threshold, path_threshold, total_rows))
-    if ent_names is None:
-        from ..stages.relational import arrow_filter
-        ent_names = arrow_filter(
-            linked, lambda t: pc.is_valid(t['entity'])).unique('entity')
-    id_to_name = {entity_node_id(e): e for e in sorted(set(e for e in ent_names if e))}
-    state_ref = ray.put((surf_label, multi_info, id_to_name, mm_threshold))
-
-    linked_subjects = linked.map_batches(_subjects_of, batch_format='pyarrow')
-
-    mm_score = MM_SCORE  # star-edge weight (build_alignment_edges default)
-
-    def subject_triples(batch: pa.Table) -> pa.Table:
-        """Vectorized cluster resolution: the common branches (single-entity
-        surface, direct link, singleton) run as pandas map/mask kernels;
-        only the ambiguous multi-entity-surface rows (a small minority by
-        construction) take the closed-form per-row split."""
-        import numpy as np
-        from ..state.broadcast import get_broadcast
-        surf_label_, multi_info_, id_to_name_, _ = get_broadcast(state_ref)
-        df = batch.select(['mention_uid', 'url', 'entity', 'link_score',
-                           'label', 'norm_surface']).to_pandas()
-        n = len(df)
-        cluster = np.empty(n, dtype=object)
-
-        # object-dtype lookups: pandas map/dict paths would upcast the
-        # 63-bit cluster ids to float64 and corrupt them
-        single = np.array([surf_label_.get(s) for s in df['norm_surface']],
-                          dtype=object)
-        in_single = np.array([v is not None for v in single], dtype=bool)
-        in_multi = df['norm_surface'].isin(multi_info_).to_numpy() \
-            if multi_info_ else np.zeros(n, dtype=bool)
-        direct = ((~in_multi) & (~in_single) & df['entity'].notna().to_numpy()
-                  & (df['link_score'] > me_threshold).to_numpy())
-        rest = ~(in_multi | in_single | direct)
-
-        cluster[in_single] = single[in_single]
-        if direct.any():
-            cluster[direct] = [entity_node_id(e) for e in df.loc[direct, 'entity']]
-        cluster[rest] = [int(u) for u in df.loc[rest, 'mention_uid']]
-        if in_multi.any():
-            vals = []
-            for uid, ent, score, surf in zip(
-                    df.loc[in_multi, 'mention_uid'], df.loc[in_multi, 'entity'],
-                    df.loc[in_multi, 'link_score'], df.loc[in_multi, 'norm_surface']):
-                rep, s_rep, src, rep_assigned = multi_info_[surf]
-                s_direct = score if (ent is not None and score > me_threshold) else 0.0
-                s_via = s_rep * mm_score
-                if uid == rep:
-                    c = entity_node_id(src) if rep_assigned else rep
-                elif max(s_direct, s_via) > path_threshold:
-                    # ties favor the direct link (matches Dijkstra pop order)
-                    c = entity_node_id(ent if s_direct >= s_via else src)
-                else:
-                    c = rep if not rep_assigned else uid
-                vals.append(c)
-            cluster[in_multi] = vals
-
-        canon = pd.Series(cluster, dtype=object).map(
-            lambda c: id_to_name_.get(c, _ne_name(c)))
-        return _emit_subject_pairs(canon, df['url'], df['label'])
-
-    # whole blocks: the kernel is vectorized masks + dict lookups with a
-    # Python loop only over the minority multi-entity rows; an explicit
-    # batch_size re-slices the materialized linked blocks for no benefit
-    subj_triples = linked_subjects.map_batches(subject_triples, batch_format='pyarrow',
-                                               batch_size=None)
-    return _with_cats(subj_triples)
+    No surface-sized dim is collected. Only the connected-components node
+    map reaches the driver (its size bounded by ``connected_components``'
+    ``driver_limit``) and is broadcast back once. The subject mentions
+    ride ``canonicalize()``'s component-keyed exchange as carried rows, so
+    each bucket splits its components, names the clusters and emits its
+    subjects' triples in one pass. Mentions absent from the alignment
+    graph (no qualifying link, unique surface) are singletons named
+    NE_<own uid>. The result equals the single-process oracle
+    (test_flagship), re-fetched URLs' colliding ``mention_uid``s
+    included."""
+    subject_triples = canonicalize(
+        linked, me_threshold, mm_threshold, path_threshold=path_threshold,
+        total_rows=total_rows,
+        carried=(_subjects_of, _SUBJECT_SCHEMA, _subject_triples))
+    return subject_triples.union(_category_triples(cats))
 
 
 def _category_triples(cats):

@@ -13,8 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..stages.alias import (build_alias_index_local,
-                            entity_names_from_index, link_mentions)
+from ..stages.alias import build_alias_index_local, link_mentions
 from ..stages.cat2ax import axioms_to_triples, extract_axioms
 from ..stages.html_extract import parse_pages
 from ..stages.listing_rules import (apply_rules, build_context,
@@ -55,16 +54,12 @@ def run_full_kg(pages_ds, categories_ds=None, facts_ds=None,
     if n_mentions > ALIAS_BROADCAST_LIMIT:
         from ..stages.alias import link_mentions_join
         linked = link_mentions_join(mentions).materialize()
-        ent_names = None   # derived distributed inside _assemble_triples
     else:
-        index = build_alias_index_local(mentions)
-        index_ref = ray.put(index)
+        index_ref = ray.put(build_alias_index_local(mentions))
         linked = link_mentions(mentions, index_ref).materialize()
-        ent_names = entity_names_from_index(index)
 
     streams = [_assemble_triples(linked, cats, me_threshold, mm_threshold,
-                                 path_threshold, ent_names=ent_names,
-                                 total_rows=n_mentions)]
+                                 path_threshold, n_mentions)]
 
     # taxonomy layer: assemble the class hierarchy from (cat, parent) edges
     # (driver-side over the small edge dim — cycle resolution + node merge +

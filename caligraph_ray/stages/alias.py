@@ -208,10 +208,6 @@ def build_alias_index_local(mentions_ds) -> AliasIndex:
     return index
 
 
-def entity_names_from_index(index: AliasIndex) -> List[str]:
-    return sorted({name for cands in index.values() for name, _ in cands})
-
-
 LINKED_EXTRA_FIELDS = [('entity', pa.string()), ('link_score', pa.float64())]
 
 

@@ -56,24 +56,6 @@ from ..functions.hashing import stable_hash64
 # surface may not fit one bucket)
 SURFACE_BROADCAST_LIMIT = 50_000_000
 
-# driver-dim budget for the surface-collapsed closed form: the MEASURED
-# number of per-surface stats rows (distinct surfaces + qualifying
-# (surface, entity) pairs) that may be collected to the driver. Above it
-# canonicalize_surface raises SurfaceDimOverBudget and callers route to the
-# fully-distributed canonicalize() path (flagship _assemble_triples does
-# this automatically).
-SURFACE_DIM_BUDGET = 20_000_000
-
-
-class SurfaceDimOverBudget(Exception):
-    """Measured surface-dim cardinality exceeds the driver-collect budget."""
-
-    def __init__(self, measured: int, budget: int):
-        self.measured, self.budget = measured, budget
-        super().__init__(
-            f'surface dim has {measured} rows > budget {budget}; use the '
-            f'distributed canonicalize() path')
-
 
 def entity_node_id(name: str) -> int:
     """Entity nodes live in negative id space; mention_uids are ≥ 0."""
@@ -612,195 +594,6 @@ def _split_bucket(edges: pa.Table, path_threshold: float):
     names = dict(zip(edges.column('dst').filter(named).to_pylist(),
                      edges.column('ent').filter(named).to_pylist()))
     return assignment, names
-
-
-def canonicalize_surface(linked_mentions_ds,
-                         me_threshold: float = MENTION_ENTITY_THRESHOLD,
-                         mm_threshold: float = MENTION_MENTION_THRESHOLD,
-                         mm_score: float = MM_SCORE,
-                         path_threshold: float = PATH_THRESHOLD,
-                         total_rows: Optional[int] = None,
-                         surface_budget: Optional[int] = None):
-    """Surface-collapsed canonicalization — the mention-level semantics of
-    ``canonicalize`` (verified by the flagship oracle test) at a fraction of
-    the cost, exact up to score ties: on an exact path-score tie the closed
-    form resolves deterministically (lexicographically-first entity; direct
-    link preferred over the via-rep path), while the Dijkstra in
-    ``_split_component`` resolves equal-distance ties by heap pop order.
-    With the constant star weights both orders are deterministic, but they
-    can differ on ties — the closed form's ordering is the contract.
-
-    Key observation: the mention-mention edges are per-surface stars, so a
-    connected component's mention set is fully determined by its member
-    *surfaces*. CC therefore runs on the collapsed graph whose nodes are
-    surface representatives (= per-surface min mention_uid, so min-node
-    component labels are IDENTICAL to mention-level labels) plus entity
-    nodes, with one edge per distinct (surface, entity>threshold) pair —
-    thousands of nodes instead of all mentions. Only components holding ≥2
-    entities (ambiguous surfaces) run the NASTyLinker mention-level Dijkstra
-    split, over just their member mentions.
-
-    Returns (surf_label, multi_info):
-      * surf_label: dict surface → cluster label for single-entity
-        components (broadcast downstream; mentions resolve by lookup)
-      * multi_info: dict surface → (rep_uid, S_rep, src_entity, rep_assigned)
-        for surfaces inside multi-entity components; per-mention assignment
-        is closed-form from this plus the mention's own direct link:
-          S_direct = link_score (if > me_threshold)
-          S_via    = S_rep × mm_score
-          assigned to src (or direct entity) iff max(S) > path_threshold,
-          else clustered under the surface rep (if the rep is unassigned)
-          or left a singleton — exactly the NASTyLinker Dijkstra result on
-          the star-structured alignment graph.
-    """
-    from .relational import bucketed_map, two_phase_pandas_agg
-
-    if mm_score <= mm_threshold:
-        raise ValueError('canonicalize_surface requires mention-mention edges '
-                         '(mm_score > mm_threshold); use canonicalize() otherwise')
-    ds = linked_mentions_ds
-
-    # ONE pass over all mentions computing every per-surface statistic the
-    # collapsed algorithm needs: representative uid + count (surface rows,
-    # entity='') and per-(surface, entity>threshold) best link score + the
-    # representative's own link (pair rows). Long format → one shuffle.
-    _MAXU = (1 << 62)
-
-    def stats_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.sort_values('mention_uid', kind='mergesort')
-        srows = b.drop_duplicates('norm_surface', keep='first') \
-            [['norm_surface', 'mention_uid', 'entity', 'link_score']] \
-            .rename(columns={'mention_uid': 'rep', 'entity': 'rep_entity',
-                             'link_score': 'rep_score'})
-        counts = batch['norm_surface'].value_counts(sort=False)
-        srows['n'] = srows['norm_surface'].map(counts).astype('int64')
-        srows['rep_entity'] = srows['rep_entity'].fillna('')
-        srows['entity'] = ''
-        srows['best'] = 0.0
-        m = batch[(batch['entity'].notna()) & (batch['link_score'] > me_threshold)]
-        prows = m.groupby(['norm_surface', 'entity'], sort=False)['link_score'] \
-            .max().rename('best').reset_index()
-        prows['rep'] = _MAXU
-        prows['n'] = 0
-        prows['rep_entity'] = ''
-        prows['rep_score'] = 0.0
-        cols = ['norm_surface', 'entity', 'rep', 'n', 'rep_entity', 'rep_score', 'best']
-        return pd.concat([srows[cols], prows[cols]], ignore_index=True)
-
-    def stats_final(bucket: pd.DataFrame) -> pd.DataFrame:
-        s = bucket[bucket['entity'] == '']
-        s = s.sort_values(['norm_surface', 'rep'], kind='mergesort')
-        s2 = s.groupby('norm_surface', sort=False).agg(
-            rep=('rep', 'min'), n=('n', 'sum'),
-            rep_entity=('rep_entity', 'first'),      # row of the global min rep
-            rep_score=('rep_score', 'first')).reset_index()
-        s2['entity'] = ''
-        s2['best'] = 0.0
-        p = bucket[bucket['entity'] != ''].groupby(['norm_surface', 'entity'],
-                                                   sort=False)['best'].max().reset_index()
-        p['rep'] = _MAXU
-        p['n'] = 0
-        p['rep_entity'] = ''
-        p['rep_score'] = 0.0
-        cols = ['norm_surface', 'entity', 'rep', 'n', 'rep_entity', 'rep_score', 'best']
-        return pd.concat([s2[cols], p[cols]], ignore_index=True)
-
-    from ..config import AGG_BATCH_SIZE
-    from .relational import bucketed_map as _bmap, default_coarse
-    # ``total_rows`` (free on a materialized input) scales the stats
-    # exchange with mention volume (~4M mentions per coarse bucket) instead
-    # of the CPU-derived default. The collected result is per-SURFACE (one
-    # row per distinct surface + per qualifying (surface, entity) pair) —
-    # sublinear in mentions and the same driver/object-store budget class
-    # as the alias index; that dim, not the mention count, bounds this
-    # algorithm. Beyond it, use canonicalize().
-    coarse = None if total_rows is None else \
-        max(default_coarse(), min(4096, int(total_rows) // 4_000_000))
-    partials = ds.select_columns(['mention_uid', 'norm_surface', 'entity', 'link_score']) \
-        .map_batches(stats_partial, batch_format='pandas', batch_size=AGG_BATCH_SIZE)
-    from .relational import collect_rows as _crows
-    stats_ds = _bmap(partials, ['norm_surface'], stats_final, coarse=coarse)
-    if surface_budget is not None:
-        # gate on the MEASURED dim cardinality (distinct surfaces +
-        # qualifying pairs), not on the mention count — the dim is what the
-        # driver actually holds. count() on the materialized stats is block
-        # metadata, not a second execution.
-        stats_ds = stats_ds.materialize()
-        measured = stats_ds.count()
-        if measured > surface_budget:
-            raise SurfaceDimOverBudget(measured, surface_budget)
-    stat_rows = _crows(stats_ds)
-
-    reps: Dict[str, int] = {}
-    surf_n: Dict[str, int] = {}
-    rep_link: Dict[str, Tuple[str, float]] = {}
-    pair_rows: List[dict] = []
-    for r in stat_rows:
-        if r['entity'] == '':
-            s = r['norm_surface']
-            reps[s] = int(r['rep'])
-            surf_n[s] = int(r['n'])
-            rep_link[s] = (r['rep_entity'], float(r['rep_score']))
-        else:
-            pair_rows.append(r)
-
-    # driver CC over the collapsed graph (tiny: |surfaces| + |entities|).
-    # mm edges are guaranteed on (the function raises otherwise), so every
-    # ≥2-mention surface forms a star component; an me edge joins rep and
-    # entity regardless of surface size — ONE unconditional union.
-    uf = _UnionFind()
-    for surf, n in surf_n.items():
-        if n >= 2:
-            uf.find(reps[surf])  # surfaces with stars always form a component
-    for r in pair_rows:
-        uf.union(reps[r['norm_surface']], entity_node_id(r['entity']))
-    comp_entities: Dict[int, set] = defaultdict(set)
-    for r in pair_rows:
-        comp_entities[uf.find(reps[r['norm_surface']])].add(r['entity'])
-    comp_of_surface = {}
-    for surf, n in surf_n.items():
-        rep = reps[surf]
-        if rep in uf.parent or n >= 2:
-            comp_of_surface[surf] = uf.find(rep)
-
-    multi_comps = {c for c, ents in comp_entities.items() if len(ents) >= 2}
-    surf_label: Dict[str, int] = {}
-    multi_surfaces = set()
-    for surf, comp in comp_of_surface.items():
-        if comp in multi_comps:
-            multi_surfaces.add(surf)
-        else:
-            ents = comp_entities.get(comp, ())
-            surf_label[surf] = entity_node_id(next(iter(ents))) if ents else comp
-
-    # Multi-entity components: NASTyLinker split in CLOSED FORM.
-    # Shortest paths from the entity source set never pass through an entity
-    # (every entity is itself a source at distance 0) and mention-mention
-    # connectivity is only the per-surface star, so the best path score to a
-    # mention is max(direct me score, S_rep(surface) × mm_score), where
-    # S_rep(s) = max over entities e of max(rep's direct score to e,
-    # mm_score × best member score to e). No Dijkstra, no join — per-surface
-    # maxima from one distributed aggregate, then a broadcast dict.
-    multi_info: Dict[str, tuple] = {}
-    if multi_surfaces:
-        by_surface: Dict[str, List[tuple]] = defaultdict(list)
-        for r in pair_rows:
-            s = r['norm_surface']
-            if s in multi_surfaces:
-                ent = r['entity']
-                rl_ent, rl_score = rep_link.get(s, ('', 0.0))
-                rep_sc = rl_score if (rl_ent == ent and rl_score > me_threshold) else 0.0
-                by_surface[s].append((ent, float(r['best']), rep_sc))
-        for s in multi_surfaces:
-            cands = by_surface.get(s, [])
-            s_rep, src = 0.0, None
-            for ent, best, rep_sc in sorted(cands):
-                sc = max(min(rep_sc, 1.0), mm_score * min(best, 1.0))
-                if sc > s_rep:  # strict: ties keep the lexicographically first entity
-                    s_rep, src = sc, ent
-            rep_assigned = s_rep > path_threshold and src is not None
-            multi_info[s] = (reps[s], s_rep, src, rep_assigned)
-    return surf_label, multi_info
 
 
 def edin_clusters(linked_mentions_ds,

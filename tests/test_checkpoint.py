@@ -162,8 +162,9 @@ def _triples(ds):
 
 @pytest.fixture(scope='module')
 def corpus_120():
-    """120 pages (seed 42): the first size where the default surface
-    canonicalization and canon='join' build different triple sets."""
+    """120 pages (seed 42): past the 80-page fixture, re-fetched URLs
+    share mention uids. ``me_threshold=1.0`` (no mention→entity edge
+    qualifies, so every cluster is NE_<id>) changes its triples."""
     from caligraph_ray.corpus import generate_pages_table
     return generate_pages_table(120, seed=42)
 
@@ -197,21 +198,22 @@ def test_flagship_checkpointed_resumes(ray_session, corpus_120, tmp_path):
     out_parts = os.listdir(os.path.join(root, 'triples_out'))
     assert any(p.startswith('subj_bucket=') for p in out_parts)
 
-    # a rebuilt 05_triples replaces the sink: wipe it and rerun with the
-    # other canonicalization, whose triples differ on this corpus
+    # a rebuilt 05_triples replaces the sink: wipe it and rerun with a
+    # threshold whose triples differ on this corpus
     shutil.rmtree(os.path.join(root, '05_triples'))
-    join = _triples(run_flagship(pages(), canon='join'))
-    assert join != rows1
+    no_me = _triples(run_flagship(pages(), me_threshold=1.0))
+    assert no_me != rows1
     assert _triples(run_flagship_checkpointed(pages(), root,
-                                              canon='join')) == join
+                                              me_threshold=1.0)) == no_me
     assert _triples(rd.read_parquet(os.path.join(root, 'triples_out'))
-                    .drop_columns(['subj_bucket'])) == join
+                    .drop_columns(['subj_bucket'])) == no_me
 
 
 def test_flagship_checkpoint_fingerprints_every_setting(ray_session,
                                                         corpus_120, tmp_path):
-    """canon and markup change the triples, so a rerun of one root with a
-    different value rebuilds instead of serving the earlier stages."""
+    """me_threshold and markup change the triples, so a rerun of one root
+    with a different value rebuilds instead of serving the earlier
+    stages."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import (run_flagship,
                                                   run_flagship_checkpointed)
@@ -221,16 +223,17 @@ def test_flagship_checkpoint_fingerprints_every_setting(ray_session,
 
     root = str(tmp_path)
     default = _triples(run_flagship_checkpointed(pages(), root))
-    join = _triples(run_flagship_checkpointed(pages(), root, canon='join'))
-    assert join == _triples(run_flagship(pages(), canon='join'))
-    assert join != default
+    no_me = _triples(run_flagship_checkpointed(pages(), root,
+                                               me_threshold=1.0))
+    assert no_me == _triples(run_flagship(pages(), me_threshold=1.0))
+    assert no_me != default
     stamp = os.path.getmtime(os.path.join(root, '01_combined', '_SUCCESS'))
 
-    wiki = _triples(run_flagship_checkpointed(pages(), root, canon='join',
+    wiki = _triples(run_flagship_checkpointed(pages(), root, me_threshold=1.0,
                                               markup='wikitext'))
-    assert wiki == _triples(run_flagship(pages(), canon='join',
+    assert wiki == _triples(run_flagship(pages(), me_threshold=1.0,
                                          markup='wikitext'))
-    assert wiki != join
+    assert wiki != no_me
     assert os.path.getmtime(
         os.path.join(root, '01_combined', '_SUCCESS')) != stamp
 

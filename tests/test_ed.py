@@ -77,10 +77,10 @@ def test_mm_candidates_star(ray_session, rd):
 
 
 def test_flagship_join_linking_equals_broadcast(ray_session, rd, small_corpus):
-    """run_flagship(linking='join') — the 10^12-row path where ent_names is
-    derived distributed inside _assemble_triples (ent_names=None) — must
-    produce exactly the broadcast path's triples. Pins the end-to-end path
-    the stage-level link-join test cannot reach."""
+    """run_flagship(linking='join') — the 10^12-row path, whose linking
+    exchange also emits each mention's ``surface_rep`` — must produce
+    exactly the broadcast path's triples. Pins the end-to-end path the
+    stage-level link-join test cannot reach."""
     from caligraph_ray.pipelines.flagship import run_flagship
     pages = rd.from_arrow(small_corpus)
     base = run_flagship(pages, linking='broadcast').to_pandas()

@@ -35,42 +35,22 @@ def test_flagship_matches_oracle(ray_session, small_corpus):
     assert got == want, f'missing={list(missing)[:5]} extra={list(extra)[:5]}'
 
 
-def test_flagship_join_scale_path_matches_surface(ray_session, small_corpus):
-    """Forced-low-gate run: surface_budget=0 makes canonicalize_surface
-    raise SurfaceDimOverBudget, so the auto path routes through the fully
-    distributed canonicalize() tail, whose component exchange emits the
-    subject triples in-bucket (no driver-side surface dim, no id_to_name
-    dict). Same corpus → identical triple set
-    as the surface closed form AND the oracle."""
-    surface = _run(small_corpus, canon='surface')
-    joined = _run(small_corpus, canon='auto', surface_budget=0)
-    assert joined == surface
-    pages = list(zip(small_corpus.column('url').to_pylist(),
-                     small_corpus.column('html').to_pylist()))
-    assert joined == oracle_triples(pages)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    'ROADMAP item 1: mention_uid hashes url#listing#item#mi, so it collides '
-    'across re-fetched URLs; the oracle merges each colliding uid into one '
-    'node, the surface closed form keeps the rows apart'))
-def test_flagship_surface_path_matches_oracle_past_fixture(ray_session):
-    """The 80-page fixture hides the divergence; 120 pages (seed 42) show
-    it: re-fetched URLs share mention uids there."""
+@pytest.mark.parametrize('linking', ['broadcast', 'join'])
+def test_flagship_matches_oracle_past_fixture(ray_session, linking):
+    """The 80-page fixture hides mention_uid collisions; 120 pages (seed
+    42) carry 92 URLs, so uids collide across re-fetches and one surface
+    can hold a uid twice. The oracle merges each colliding uid into one
+    node, and so does the component exchange."""
     table = generate_pages_table(120, seed=42)
     pages = list(zip(table.column('url').to_pylist(),
                      table.column('html').to_pylist()))
-    assert _run(table, canon='surface') == oracle_triples(pages)
+    assert _run(table, linking=linking) == oracle_triples(pages)
 
 
-def test_flagship_join_path_matches_oracle_past_fixture(ray_session):
-    """The join-linked, mention-level path past the fixture: 120 pages
-    (seed 42) carry 92 URLs, so mention uids collide across re-fetches and
-    one surface can hold a uid twice."""
-    table = generate_pages_table(120, seed=42)
-    pages = list(zip(table.column('url').to_pylist(),
-                     table.column('html').to_pylist()))
-    assert _run(table, linking='join', canon='join') == oracle_triples(pages)
+def test_flagship_rejects_removed_canon_value():
+    from caligraph_ray.pipelines.flagship import run_flagship
+    with pytest.raises(ValueError, match='surface canonicalization path was removed'):
+        run_flagship(None, canon='surface')
 
 
 def test_flagship_scored_sharded_gate_matches_broadcast(

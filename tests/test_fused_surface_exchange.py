@@ -4,7 +4,7 @@ norm_surface exchange, and canonicalizes inside one component exchange.
 * Exchange counts, pinned with a counter around
   ``relational.bucket_exchange``: ``link_mentions_join`` makes one call,
   ``build_alignment_edges`` on its output none, ``canonicalize()`` on it
-  one, and the whole ``run_flagship(linking='join', canon='join')``
+  one, and the whole ``run_flagship(linking='join')``
   exactly three (the linking exchange, the component exchange and the
   sink dedup), with no ``shuffle_join`` and no ``Dataset.unique``.
 * Streaming-execution counts of whole flagship runs, pinned with
@@ -104,8 +104,7 @@ def test_join_flagship_makes_three_exchanges(ray_session, small_corpus,
     input, the component exchange's input and the sink dedup's input."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship
-    out = run_flagship(rd.from_arrow(small_corpus), linking='join',
-                       canon='join')
+    out = run_flagship(rd.from_arrow(small_corpus), linking='join')
     assert len(executions) == 4, executions
     assert out.count() > 0
     assert exchange_calls == {'bucket_exchange': 3, 'shuffle_join': 0,
@@ -113,8 +112,11 @@ def test_join_flagship_makes_three_exchanges(ray_session, small_corpus,
 
 
 def test_scored_flagship_executions(ray_session, small_corpus, executions):
-    """Six streaming executions on ``small_corpus`` (eight before the
-    mention count and the categories barrier went)."""
+    """Six streaming executions on ``small_corpus``: the parse, the
+    distinct-names exchange, the linking, the ``surface_rep`` exchange's
+    input, the component exchange's input and the sink dedup. The
+    distinct names keep their count column: selecting ``name`` after the
+    exchange would be an execution of its own."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship
     out = run_flagship(rd.from_arrow(small_corpus), linking='scored')
@@ -125,13 +127,14 @@ def test_scored_flagship_executions(ray_session, small_corpus, executions):
 def test_checkpointed_flagship_executions(ray_session, small_corpus,
                                           executions, tmp_path):
     """Under the checkpointing hook every stage stays a materialized,
-    written stage: eleven streaming executions on ``small_corpus`` with
-    the default settings, as before the direct-run savings."""
+    written stage: twelve streaming executions on ``small_corpus`` with
+    the default (broadcast) linking. The component exchange's input is
+    one, and the 05_triples stage that reads its output another."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
     out = run_flagship_checkpointed(rd.from_arrow(small_corpus),
                                     str(tmp_path))
-    assert len(executions) == 11, executions
+    assert len(executions) == 12, executions
     assert out.count() > 0
 
 
@@ -361,6 +364,14 @@ def _node_map(ds):
             for n, c, e in zip(t['node'], t['cluster'], t['entity'])}
 
 
+def _no_cats():
+    """An empty category-row Dataset: the subject triples alone."""
+    import pyarrow as pa
+    import ray.data as rd
+    return rd.from_arrow(pa.table({'url': pa.array([], pa.string()),
+                                   'cat_name': pa.array([], pa.string())}))
+
+
 def _triple_set(ds):
     t = relational.collect_pandas(ds)
     if t.empty:
@@ -374,15 +385,15 @@ def _triple_set(ds):
 def test_component_exchange_edge_inputs(ray_session, monkeypatch, case,
                                         exchange, cc):
     import ray.data as rd
-    from caligraph_ray.pipelines.flagship import _assemble_triples_join
+    from caligraph_ray.pipelines.flagship import _assemble_triples
     rows = COMPONENT_CASES[case]
     want_nodes, want_triples = _reference(rows)
     contracted = _set_regimes(monkeypatch, exchange, cc)
     ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
 
     assert _node_map(canon_mod.canonicalize(ds)) == want_nodes
-    assert _triple_set(_assemble_triples_join(
-        ds, MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
+    assert _triple_set(_assemble_triples(
+        ds, _no_cats(), MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
         PATH_THRESHOLD)) == want_triples
     if cc == 'contract' and case != 'no_edges':
         assert len(contracted) == 2   # both calls contracted
@@ -394,16 +405,16 @@ def test_component_exchange_salted_regime(ray_session, case):
     groupby as an edge Dataset of their own, and the carried subject rows
     join the exchange by a union: same node map and triples."""
     import ray.data as rd
-    from caligraph_ray.pipelines.flagship import _assemble_triples_join
+    from caligraph_ray.pipelines.flagship import _assemble_triples
     rows = COMPONENT_CASES[case]
     want_nodes, want_triples = _reference(rows)
     ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
     total = canon_mod.SURFACE_BROADCAST_LIMIT + 1
     assert _node_map(canon_mod.canonicalize(ds, total_rows=total)) == \
         want_nodes
-    assert _triple_set(_assemble_triples_join(
-        ds, MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
-        PATH_THRESHOLD, total_rows=total)) == want_triples
+    assert _triple_set(_assemble_triples(
+        ds, _no_cats(), MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
+        PATH_THRESHOLD, total)) == want_triples
 
 
 def test_surface_bucket_exchange_moves_only_edge_columns(ray_session,
@@ -413,7 +424,7 @@ def test_surface_bucket_exchange_moves_only_edge_columns(ray_session,
     subject rows are carried: those join the component exchange from the
     linked rows themselves."""
     import ray.data as rd
-    from caligraph_ray.pipelines.flagship import _assemble_triples_join
+    from caligraph_ray.pipelines.flagship import _assemble_triples
     rows = COMPONENT_CASES[sorted(COMPONENT_CASES)[0]]
     ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
     moved, real = [], relational.bucketed_map
@@ -423,8 +434,8 @@ def test_surface_bucket_exchange_moves_only_edge_columns(ray_session,
         return real(ds_in, *a, **kw)
 
     monkeypatch.setattr(relational, 'bucketed_map', recording)
-    assert _triple_set(_assemble_triples_join(
-        ds, MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
+    assert _triple_set(_assemble_triples(
+        ds, _no_cats(), MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
         PATH_THRESHOLD)) == _reference(rows)[1]
     assert moved == [['mention_uid', 'norm_surface', 'entity', 'link_score']]
 
@@ -460,7 +471,7 @@ def test_join_flagship_refetched_hot_component_matches_oracle(
     table = pa.table({'url': [u for u, _ in pages],
                       'html': pa.array([h for _, h in pages], pa.binary())})
     got = _triple_set(run_flagship(rd.from_arrow(table).repartition(3),
-                                   linking='join', canon='join'))
+                                   linking='join'))
     assert got == oracle_triples(pages)
     assert len(contracted) == (1 if cc == 'contract' else 0)
 

@@ -1,110 +1,15 @@
-"""Property-based equivalence for the two highest-value algorithm pairs:
-
-1. canonicalize (mention-level CC + per-component NASTyLinker Dijkstra)
-   vs canonicalize_surface + the documented closed-form consumption rule
-   (pipelines/flagship.subject_triples). The two are claimed "exact up to
-   score ties"; inputs here are tie-free by construction — link scores are
-   unique thousandths not divisible by 10, so no product of star weights
-   (0.9, 0.81) can collide with another score or a threshold.
-
-2. mine_type_rules' distributed two-level statistics (micro/macro mean,
-   zero-filled std) vs a dict-and-loop reimplementation of the documented
-   reference semantics (impl/listing/extract.py:90-147, 206-258).
+"""Property-based equivalence for listing-rule mining: mine_type_rules'
+distributed two-level statistics (micro/macro mean, zero-filled std) vs a
+dict-and-loop reimplementation of the documented reference semantics
+(impl/listing/extract.py:90-147, 206-258).
 """
 
-import numpy as np
 import pandas as pd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from caligraph_ray.config import (MENTION_ENTITY_THRESHOLD, MM_SCORE,
-                                  PATH_THRESHOLD)
-
 SETTINGS = settings(max_examples=8, deadline=None,
                     suppress_health_check=list(HealthCheck))
-
-_SURFACES = ['alpha', 'beta', 'gamma']
-_ENTITIES = [None, 'Ent One', 'Ent Two', 'Ent Three']
-
-
-@st.composite
-def linked_mentions(draw):
-    n = draw(st.integers(min_value=1, max_value=14))
-    # unique scores, thousandths not divisible by 10 → tie-free products
-    pool = draw(st.lists(
-        st.integers(min_value=1, max_value=999).filter(lambda v: v % 10),
-        min_size=n, max_size=n, unique=True))
-    rows = []
-    for i in range(n):
-        ent = draw(st.sampled_from(_ENTITIES))
-        rows.append({'mention_uid': i + 1,
-                     'norm_surface': draw(st.sampled_from(_SURFACES)),
-                     'entity': ent,
-                     'link_score': pool[i] / 1000.0 if ent else 0.0})
-    return pd.DataFrame(rows)
-
-
-def _closed_form(df, surf_label, multi_info, id_to_name):
-    """The flagship consumption contract for canonicalize_surface output."""
-    from caligraph_ray.stages.canonicalize import entity_node_id
-    me, path, mm_score = MENTION_ENTITY_THRESHOLD, PATH_THRESHOLD, MM_SCORE
-    out = {}
-    for _, r in df.iterrows():
-        uid, surf = int(r['mention_uid']), r['norm_surface']
-        ent = r['entity'] if pd.notna(r['entity']) else None
-        score = float(r['link_score'])
-        if surf in surf_label:
-            c = surf_label[surf]
-        elif surf in multi_info:
-            rep, s_rep, src, rep_assigned = multi_info[surf]
-            s_direct = score if (ent is not None and score > me) else 0.0
-            s_via = s_rep * mm_score
-            if uid == rep:
-                c = entity_node_id(src) if rep_assigned else rep
-            elif max(s_direct, s_via) > path:
-                c = entity_node_id(ent if s_direct >= s_via else src)
-            else:
-                c = rep if not rep_assigned else uid
-        elif ent is not None and score > me:
-            c = entity_node_id(ent)
-        else:
-            c = uid
-        out[uid] = (c, id_to_name.get(c))
-    return out
-
-
-@SETTINGS
-@given(linked_mentions())
-def test_canonicalize_paths_equivalent(ray_session, df):
-    import ray.data as rd
-    from caligraph_ray.stages.canonicalize import (canonicalize,
-                                                   canonicalize_surface,
-                                                   entity_node_id)
-    ds = rd.from_pandas(df).repartition(2)
-    full = canonicalize(ds, total_rows=len(df)).to_pandas()
-    surf_label, multi_info = canonicalize_surface(ds, total_rows=len(df))
-    id_to_name = {entity_node_id(e): e for e in _ENTITIES if e}
-
-    got = _closed_form(df, surf_label, multi_info, id_to_name)
-
-    # mention-level path: mentions absent from any edge are singletons
-    m_cluster = {int(r['node']): (int(r['cluster']),
-                                  r['entity'] if pd.notna(r['entity']) else None)
-                 for _, r in full.iterrows() if int(r['node']) > 0}
-    want = {int(u): m_cluster.get(int(u), (int(u), None))
-            for u in df['mention_uid']}
-
-    # 1) identical entity assignment per mention
-    assert {u: e for u, (_, e) in got.items()} == \
-        {u: e for u, (_, e) in want.items()}
-
-    # 2) identical partition of mentions into clusters
-    def partition(m):
-        groups = {}
-        for u, (c, _) in m.items():
-            groups.setdefault(c, set()).add(u)
-        return sorted(frozenset(g) for g in groups.values())
-    assert partition(got) == partition(want)
 
 
 # --- listing-rule mining ------------------------------------------------------

@@ -82,12 +82,6 @@ SEMDEDUP_CLUSTER_CAP = int(_os.environ.get('SEMDEDUP_CLUSTER_CAP', 65_536))
 PAIR_GROUPS_DRIVER_LIMIT = int(
     _os.environ.get('PAIR_GROUPS_DRIVER_LIMIT', 5_000_000))
 
-# --- skew handling ---
-# groupby keys whose observed count exceeds this get salted into
-# HOT_KEY_SALT_BUCKETS sub-keys, aggregated two-phase (SURVEY.md §4 skew row)
-HOT_KEY_THRESHOLD = 100_000
-HOT_KEY_SALT_BUCKETS = 32
-
 # --- dedup defaults ---
 MINHASH_NUM_PERM = 64
 MINHASH_BANDS = 16          # 16 bands x 4 rows

@@ -43,7 +43,7 @@ COUNTRIES = ['France', 'Germany', 'United Kingdom', 'Japan', 'Spain', 'Italy', '
              'Ireland', 'Czech Republic', 'Portugal', 'Greece', 'Poland', 'Finland', 'Croatia', 'Switzerland']
 COMPANIES = ['Acme Systems', 'Globex Works', 'Initech Labs', 'Umbra Devices', 'Vandelay Industries',
              'Hooli Networks', 'Stark Metals', 'Wayne Logistics']
-# head entities: appear in a large share of mentions → stress salted groupby
+# head entities: appear in a large share of mentions → stress head-surface skew
 HEAD_ENTITIES = ['United States', 'John Smith']
 
 # city i belongs to country i (fixed ground-truth relation for rule mining)

@@ -10,7 +10,7 @@ dedup/sort → hash-partitioned Parquet.
 
 Exercises every execution pattern of the north star: stateless Arrow
 map_batches, broadcast small-side join, per-process model caches, keyed
-exchanges, salted shuffle, CC merge and a sort-materialize sink.
+exchanges, CC merge and a sort-materialize sink.
 
 A direct run (no ``stage_hook``) materializes only what a later step
 reads more than once or needs as a barrier: the slim union, the linked
@@ -217,10 +217,8 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
                      lambda: link_mentions(mentions, index_ref,
                                            concurrency=concurrency))
 
-    # block metadata on the materialized stage (Parquet metadata on a
-    # resumed one), not an execution
     all_triples = _assemble_triples(linked, cats, me_threshold, mm_threshold,
-                                    path_threshold, linked.count())
+                                    path_threshold)
     if stage_hook is not None:
         # default path streams the assembled triples straight into the
         # sink; under a hook they persist as their own resumable stage
@@ -323,8 +321,7 @@ def _subject_triples(t: pa.Table) -> pa.Table:
          'obj': obj, 'is_literal': lit}, schema=TRIPLES_SCHEMA)
 
 
-def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
-                      total_rows: Optional[int] = None):
+def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold):
     """Canonicalize + emit; returns the raw (pre-dedup) triples Dataset:
     the subject triples of ``canonicalize()`` plus the category triples.
 
@@ -340,7 +337,6 @@ def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold,
     included."""
     subject_triples = canonicalize(
         linked, me_threshold, mm_threshold, path_threshold=path_threshold,
-        total_rows=total_rows,
         carried=(_subjects_of, _SUBJECT_SCHEMA, _subject_triples))
     return subject_triples.union(_category_triples(cats))
 

@@ -46,12 +46,11 @@ def run_full_kg(pages_ds, categories_ds=None, facts_ds=None,
     mentions = combined.map_batches(_mentions_of,
                                     batch_format='pyarrow').materialize()
     del combined
-    n_mentions = mentions.count()
     # same volume gate as run_flagship(linking='auto'): broadcast index
     # under the object budget, co-partitioned hash join above it (the
     # 10^12-row path; nothing driver-sized leaves the cluster)
     from ..config import ALIAS_BROADCAST_LIMIT
-    if n_mentions > ALIAS_BROADCAST_LIMIT:
+    if mentions.count() > ALIAS_BROADCAST_LIMIT:
         from ..stages.alias import link_mentions_join
         linked = link_mentions_join(mentions).materialize()
     else:
@@ -59,7 +58,7 @@ def run_full_kg(pages_ds, categories_ds=None, facts_ds=None,
         linked = link_mentions(mentions, index_ref).materialize()
 
     streams = [_assemble_triples(linked, cats, me_threshold, mm_threshold,
-                                 path_threshold, n_mentions)]
+                                 path_threshold)]
 
     # taxonomy layer: assemble the class hierarchy from (cat, parent) edges
     # (driver-side over the small edge dim — cycle resolution + node merge +

@@ -170,10 +170,9 @@ def build_alias_index(mentions_ds) -> Tuple["ray.ObjectRef", int]:
     """Collect the (small-dim) alias index to the driver and broadcast it.
 
     Per-surface entity lists are sorted by (freq desc, name asc) so the
-    argmax is deterministic. At 10^12-page scale the index would be sharded
-    by hash(norm_surface) into K object-store shards with each actor loading
-    only its shard(s); the single-shard path is used below the object-store
-    budget (SURVEY.md §4 spill row).
+    argmax is deterministic. Above the object-store budget no index is
+    built: ``link_mentions_join`` links inside one norm_surface exchange
+    instead (SURVEY.md §4 spill row).
     """
     index = build_alias_index_local(mentions_ds)
     return ray.put(index), len(index)
@@ -329,43 +328,3 @@ def link_mentions_join(mentions_ds):
     return bucketed_map(mentions_ds, ['norm_surface'], link_surface_bucket,
                         batch_format='pyarrow')
 
-
-def build_alias_index_sharded(mentions_ds, n_shards: int = 16) -> List["ray.ObjectRef"]:
-    """The promised hash(norm_surface)-sharded broadcast index: K
-    object-store shards, each holding only its surfaces. Built from the
-    distributed alias_counts Dataset one shard at a time (the driver holds
-    ONE shard's rows at once, never the whole dim); an actor/task resolving
-    a pre-partitioned block reads only its shard. For un-partitioned inputs
-    prefer ``link_mentions_join`` (no index object at all)."""
-    counts = alias_counts(mentions_ds)
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        surfs = batch.column('norm_surface').to_pylist()
-        shard = [stable_hash64(s) % n_shards for s in surfs]
-        return batch.append_column('shard', pa.array(shard, pa.int32()))
-
-    sharded = counts.map_batches(add_shard, batch_format='pyarrow').materialize()
-    block_refs = [b for bundle in sharded.iter_internal_ref_bundles()
-                  for b in bundle.block_refs]
-
-    # each shard's dict is assembled INSIDE a Ray task from zero-copy arrow
-    # block reads and returned (task returns live in the object store, so
-    # the returned ref IS the broadcast shard): the driver never holds a
-    # single row, and the n_shards scans run in parallel on workers instead
-    # of as n_shards serial driver-side collect passes
-    @ray.remote
-    def build_shard(i: int, *blocks) -> AliasIndex:
-        index: AliasIndex = {}
-        for b in blocks:
-            if not isinstance(b, pa.Table) or b.num_rows == 0:
-                continue
-            t = b.filter(pc.equal(b.column('shard'), i))
-            for surf, name, freq in zip(t.column('norm_surface').to_pylist(),
-                                        t.column('name').to_pylist(),
-                                        t.column('freq').to_pylist()):
-                index.setdefault(surf, []).append((name, int(freq)))
-        for k in index:
-            index[k].sort(key=lambda x: (-x[1], x[0]))
-        return index
-
-    return [build_shard.remote(i, *block_refs) for i in range(n_shards)]

@@ -1,19 +1,19 @@
-"""Canonicalization: salted surface grouping → connected components → cluster
+"""Canonicalization: alignment edges → connected components → cluster
 splitting (north-star D4/D5; reference matching/greedy_clustering.py).
 
 Graph model (NASTyLinker, reference greedy_clustering.py:26-94):
   * nodes: mention_uids (negative space: entity names hashed to ids)
   * mention→entity edges where link_score > me_threshold
   * mention→mention edges between mentions sharing a norm_surface
-    (score mm_score > mm_threshold) — generated per surface group with hot
-    surfaces salted into sub-buckets connected via a star to the bucket
-    representative, so a head surface ('United States') never builds a
-    quadratic group or a single giant task.
+    (score mm_score > mm_threshold), as a star from the surface's min
+    mention_uid (``surface_rep``) to each other mention of it: linear in
+    the mentions, with the components of the clique, so a head surface
+    ('United States') never builds a quadratic group.
 
-While the edges are a per-row function of materialized linked rows
-(every regime but the salted one), no edge Dataset is materialized: one
-task per row block projects the block to its raw edge count and its
-distinct (src, dst) pairs. Connected components read the counts first:
+The edges are a per-row function of linked rows carrying
+``surface_rep``, so no edge Dataset is materialized: one task per row
+block projects the block to its raw edge count and its distinct
+(src, dst) pairs. Connected components read the counts first:
 while their sum is within the driver limit the pairs go to driver
 union-find. Above it no pair array reaches the driver; the distinct pairs,
 left where their tasks stored them, run as repeated block-local union-find
@@ -46,15 +46,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..config import (HOT_KEY_SALT_BUCKETS, HOT_KEY_THRESHOLD,
-                      MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
+from ..config import (MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
                       MM_SCORE, PATH_THRESHOLD, TOKEN_BATCH_SIZE)
 from ..functions.hashing import stable_hash64
-
-# mention volume up to which rows without a ``surface_rep`` get it from one
-# norm_surface exchange instead of a salted groupby (beyond it a hot
-# surface may not fit one bucket)
-SURFACE_BROADCAST_LIMIT = 50_000_000
 
 
 def entity_node_id(name: str) -> int:
@@ -66,13 +60,6 @@ def entity_node_id(name: str) -> int:
 
 EDGE_SCHEMA = pa.schema([('src', pa.int64()), ('dst', pa.int64()),
                          ('weight', pa.float64()), ('ent', pa.string())])
-
-
-def _as_edges(t: pa.Table) -> pa.Table:
-    """(src, dst, weight) rows → EDGE_SCHEMA with a null ``ent``."""
-    return pa.Table.from_arrays(
-        [t.column(f.name).cast(f.type) for f in list(EDGE_SCHEMA)[:3]]
-        + [pa.nulls(t.num_rows, pa.string())], schema=EDGE_SCHEMA)
 
 
 def _alignment_edges_batch(batch: pa.Table, me_threshold: float,
@@ -107,68 +94,29 @@ def _alignment_edges_batch(batch: pa.Table, me_threshold: float,
         schema=EDGE_SCHEMA)
 
 
-def _mm_edges_group(group: pd.DataFrame, mm_score: float, hot_threshold: int) -> pd.DataFrame:
-    """Per-(norm_surface[,salt]) group → star edges to the group's min
-    mention_uid. A star (not a clique) keeps edge count linear while
-    producing the same connected components; hot surfaces arrive pre-salted
-    so no group exceeds ~hot_threshold rows."""
-    uids = np.sort(group['mention_uid'].to_numpy(dtype=np.int64))
-    if len(uids) < 2:
-        return pd.DataFrame({'src': np.array([], dtype=np.int64),
-                             'dst': np.array([], dtype=np.int64),
-                             'weight': np.array([], dtype=np.float64)})
-    rep = uids[0]
-    others = uids[1:]
-    return pd.DataFrame({'src': np.full(len(others), rep, dtype=np.int64),
-                         'dst': others,
-                         'weight': np.full(len(others), mm_score)})
-
-
-def _salt_hot_surfaces(mentions_ds, hot_surfaces: Dict[str, int]):
-    """Append a salt column: hot surfaces split into HOT_KEY_SALT_BUCKETS
-    sub-keys by hash(mention_uid); cold surfaces use salt 0. Sub-buckets are
-    re-connected afterwards via one star edge per bucket (two-phase merge)."""
-    def add_salt(batch: pa.Table) -> pa.Table:
-        surfs = batch.column('norm_surface').to_pylist()
-        uids = batch.column('mention_uid').to_numpy()
-        salt = np.zeros(len(surfs), dtype=np.int32)
-        for i, s in enumerate(surfs):
-            if s in hot_surfaces:
-                salt[i] = int(uids[i]) % HOT_KEY_SALT_BUCKETS
-        return batch.append_column('salt', pa.array(salt, pa.int32()))
-    return mentions_ds.map_batches(add_salt, batch_format='pyarrow', batch_size=TOKEN_BATCH_SIZE)
-
-
 def build_alignment_edges(linked_mentions_ds,
                           me_threshold: float = MENTION_ENTITY_THRESHOLD,
                           mm_threshold: float = MENTION_MENTION_THRESHOLD,
-                          mm_score: float = MM_SCORE,
-                          hot_threshold: int = HOT_KEY_THRESHOLD,
-                          total_rows: Optional[int] = None):
+                          mm_score: float = MM_SCORE):
     """linked mention rows → undirected edge Dataset (src, dst, weight,
-    ent); see ``_edge_source`` for the regimes."""
-    ds, project = _edge_source(linked_mentions_ds, me_threshold, mm_threshold,
-                               mm_score, hot_threshold, total_rows)
-    if project is None:
-        return ds
-    return ds.map_batches(project, batch_format='pyarrow', batch_size=None)
+    ent); see ``_edge_source`` for where the rows come from."""
+    rows, project = _edge_source(linked_mentions_ds, me_threshold,
+                                 mm_threshold, mm_score)
+    return rows.map_batches(project, batch_format='pyarrow', batch_size=None)
 
 
 def _edge_source(linked_mentions_ds, me_threshold: float, mm_threshold: float,
-                 mm_score: float = MM_SCORE,
-                 hot_threshold: int = HOT_KEY_THRESHOLD,
-                 total_rows: Optional[int] = None):
-    """linked mention rows → ``(rows, project)`` when the alignment edges
-    are a per-row function of ``rows`` (``project(pa.Table)`` gives a
-    block's edges), else ``(edges, None)``.
+                 mm_score: float = MM_SCORE):
+    """linked mention rows → ``(rows, project)``: the alignment edges are
+    a per-row function of ``rows``, and ``project(pa.Table)`` gives a
+    block's edges.
 
     Rows carrying ``surface_rep`` (``link_mentions_join`` emits it) give
     both edge kinds per row with no exchange. Rows without it get it from
-    ``alias.link_surface_bucket`` in one ``bucketed_map`` while
-    ``total_rows`` (free on a materialized input) is unknown or within
-    SURFACE_BROADCAST_LIMIT; that exchange moves only the four columns the
-    edges read. Above the limit the stars come from a salted
-    groupby, and the edges are a Dataset of their own. A schema unknown
+    ``alias.link_surface_bucket`` in one ``bucketed_map`` that moves only
+    the four columns the edges read. A head surface stays one bucket, as
+    it must: its star puts every mention of it into one component, and the
+    component exchange holds that component whole anyway. A schema unknown
     without executing counts as no ``surface_rep``."""
     def project(stars: bool):
         return functools.partial(_alignment_edges_batch,
@@ -178,68 +126,15 @@ def _edge_source(linked_mentions_ds, me_threshold: float, mm_threshold: float,
     if mm_score <= mm_threshold:
         return linked_mentions_ds, project(False)
     schema = linked_mentions_ds.schema(fetch_if_missing=False)
-    has_rep = schema is not None and 'surface_rep' in schema.names
-    if has_rep or total_rows is None or total_rows <= SURFACE_BROADCAST_LIMIT:
-        if not has_rep:
-            from .alias import link_surface_bucket
-            from .relational import bucketed_map
-            linked_mentions_ds = bucketed_map(
-                linked_mentions_ds.select_columns(
-                    ['mention_uid', 'norm_surface', 'entity', 'link_score']),
-                ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
-                batch_format='pyarrow')
-        return linked_mentions_ds, project(True)
-
-    # LARGE-CARDINALITY PATH: salted groupby (hot keys split into sub-buckets
-    # re-bridged by one star edge per bucket); detect hot surfaces with a
-    # cheap two-phase count first
-    from ray.data.aggregate import Sum
-
-    from .relational import collect_rows
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        g = batch.select(['norm_surface']).group_by('norm_surface').aggregate([([], 'count_all')])
-        return g.rename_columns(['norm_surface', 'cnt'])
-
-    counts = linked_mentions_ds.map_batches(partial_counts, batch_format='pyarrow') \
-        .groupby('norm_surface').aggregate(Sum('cnt', alias_name='cnt'))
-    from .relational import arrow_filter
-    hot = {r['norm_surface']: int(r['cnt'])
-           for r in collect_rows(arrow_filter(
-               counts, lambda t: pc.greater(t['cnt'], hot_threshold)))}
-
-    from .relational import grouped_map
-    ds = linked_mentions_ds.select_columns(['mention_uid', 'norm_surface'])
-    ds = _salt_hot_surfaces(ds, hot)
-    mm = grouped_map(ds, ['norm_surface', 'salt'],
-                     lambda g: _mm_edges_group(g, mm_score, hot_threshold))
-    mm = mm.map_batches(_as_edges, batch_format='pyarrow')
-
-    # star edges re-connecting salted sub-buckets of the same hot surface:
-    # bucket representative = min mention_uid per (surface, salt) — link salt>0
-    # reps to the salt-0 rep (driver-side tiny table)
-    if hot:
-        from ray.data.aggregate import Min
-        reps = ds.groupby(['norm_surface', 'salt']).aggregate(Min('mention_uid', alias_name='rep'))
-        rep_rows = [r for r in collect_rows(reps) if r['norm_surface'] in hot]
-        by_surf: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
-        for r in rep_rows:
-            by_surf[r['norm_surface']].append((r['salt'], int(r['rep'])))
-        bridge_src, bridge_dst = [], []
-        for surf, lst in by_surf.items():
-            lst.sort()
-            base = lst[0][1]
-            for _, rep in lst[1:]:
-                bridge_src.append(base)
-                bridge_dst.append(rep)
-        if bridge_src:
-            import ray.data as rd
-            bridges = rd.from_arrow(_as_edges(pa.Table.from_pydict({
-                'src': bridge_src, 'dst': bridge_dst,
-                'weight': [mm_score] * len(bridge_src)})))
-            mm = mm.union(bridges)
-    return linked_mentions_ds.map_batches(
-        project(False), batch_format='pyarrow', batch_size=None).union(mm), None
+    if schema is None or 'surface_rep' not in schema.names:
+        from .alias import link_surface_bucket
+        from .relational import bucketed_map
+        linked_mentions_ds = bucketed_map(
+            linked_mentions_ds.select_columns(
+                ['mention_uid', 'norm_surface', 'entity', 'link_score']),
+            ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
+            batch_format='pyarrow')
+    return linked_mentions_ds, project(True)
 
 
 # --- connected components --------------------------------------------------
@@ -599,8 +494,7 @@ def _split_bucket(edges: pa.Table, path_threshold: float):
 def edin_clusters(linked_mentions_ds,
                   me_threshold: float = MENTION_ENTITY_THRESHOLD,
                   mm_threshold: float = MENTION_MENTION_THRESHOLD,
-                  cluster_threshold: float = 0.5,
-                  total_rows: Optional[int] = None):
+                  cluster_threshold: float = 0.5):
     """EDIN-style clustering (D7, reference greedy_clustering.py:105-137):
     mention-mention CC only; a cluster keeps an entity iff that entity is
     the top link for ≥ cluster_threshold of its mentions. Returns
@@ -609,8 +503,7 @@ def edin_clusters(linked_mentions_ds,
 
     # mention-mention components (no entity nodes in the graph)
     mm_only = build_alignment_edges(linked_mentions_ds, me_threshold=2.0,
-                                    mm_threshold=mm_threshold,
-                                    total_rows=total_rows)
+                                    mm_threshold=mm_threshold)
     labels_ref = ray.put(connected_components(mm_only))
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -652,19 +545,17 @@ def canonicalize(linked_mentions_ds,
                  me_threshold: float = MENTION_ENTITY_THRESHOLD,
                  mm_threshold: float = MENTION_MENTION_THRESHOLD,
                  path_threshold: float = PATH_THRESHOLD,
-                 total_rows: Optional[int] = None,
                  carried: Optional[tuple] = None):
     """Full canonicalization: alignment edges → CC → ONE exchange keyed on
     the component, whose buckets split each component (NASTyLinker) and
     name its entity clusters from the edges' ``ent`` column. Only the CC
     node map reaches the driver; it is broadcast back once.
 
-    While the edges are a per-row function of the linked rows (see
-    ``_edge_source``), no edge Dataset is materialized: the rows are,
+    The edges are a per-row function of the linked rows (see
+    ``_edge_source``), so no edge Dataset is materialized: the rows are,
     ``connected_components`` projects each row block to its edges where
     it lives, and the exchange's keying map computes them again from the
-    same blocks, with exact-duplicate edge rows dropped. Only the salted
-    regime (above SURFACE_BROADCAST_LIMIT) materializes its edges.
+    same blocks, with exact-duplicate edge rows dropped.
 
     Without ``carried``: a Dataset (node:int64, cluster:int64,
     entity:string|null) over every alignment-graph node, where entity is
@@ -687,11 +578,10 @@ def canonicalize(linked_mentions_ds,
     from .relational import _coarse_key, bucket_exchange, default_coarse
 
     row_filter, carried_schema, emit = carried or (None, pa.schema([]), None)
-    src, project = _edge_source(linked_mentions_ds, me_threshold, mm_threshold,
-                                total_rows=total_rows)
+    src, project = _edge_source(linked_mentions_ds, me_threshold, mm_threshold)
     # the carried rows ride the keying map of ``src`` when it is the rows
     # themselves; otherwise (the ``link_surface_bucket`` exchange's four
-    # columns, or the salted regime's edges) they join it by a union
+    # columns) they join it by a union
     from_rows = carried is not None and src is linked_mentions_ds
     src = src.materialize()  # CC and the exchange both read it
     labels = connected_components(src, project=project)
@@ -719,8 +609,8 @@ def canonicalize(linked_mentions_ds,
             + trail.names)
 
     def key_edges(t: pa.Table) -> pa.Table:
-        return tag(_distinct_rows(t if project is None else project(t)),
-                   'src', pa.schema([]), carried_schema)
+        return tag(_distinct_rows(project(t)), 'src', pa.schema([]),
+                   carried_schema)
 
     def key_carried(t: pa.Table) -> pa.Table:
         rows = row_filter(t).select(carried_schema.names).cast(carried_schema)

@@ -175,8 +175,15 @@ def collect_blocks(ds) -> List[pd.DataFrame]:
 
 
 def _block_refs(mat_ds) -> list:
-    return [b for bundle in mat_ds.iter_internal_ref_bundles()
-            for b in bundle.block_refs]
+    """The block refs of a materialized Dataset. A plan that is only a
+    source holding its blocks (``from_pandas_refs``, ``from_arrow``) hands
+    them over as they are: iterating it would start an execution of its
+    own."""
+    dag = mat_ds._logical_plan.dag
+    bundles = dag.output_data() if hasattr(dag, 'output_data') else None
+    if bundles is None:
+        bundles = mat_ds.iter_internal_ref_bundles()
+    return [b for bundle in bundles for b in bundle.block_refs]
 
 
 def collect_pandas(ds) -> pd.DataFrame:

@@ -16,10 +16,14 @@ norm_surface exchange, and canonicalizes inside one component exchange.
   (entity, link_score) equal the broadcast ``link_mentions`` result, and
   the component partition of its edges equals a plain-Python star
   construction's.
-* Edge inputs for the component exchange, in both exchange regimes and
-  both connected-components regimes (driver union-find, and contraction
-  forced by a ``driver_limit`` under the edge count), and in the salted
-  edge regime: ``canonicalize()``'s
+* Collecting a small exchange's output starts no execution: its blocks
+  are the refs its reducer tasks returned.
+* A checkpointed join run resumed after ``04_linked`` reads linked rows
+  that carry ``surface_rep`` and makes no ``surface_rep`` exchange.
+* Edge inputs for the component exchange, from rows with and without
+  ``surface_rep``, in both exchange regimes and both connected-components
+  regimes (driver union-find, and contraction forced by a
+  ``driver_limit`` under the edge count): ``canonicalize()``'s
   node map and the join tail's subject triples equal a plain-Python
   ``_UnionFind`` + ``_split_component`` reference, and the join flagship
   equals ``oracle_triples`` on pages with re-fetched URLs and one
@@ -127,15 +131,51 @@ def test_scored_flagship_executions(ray_session, small_corpus, executions):
 def test_checkpointed_flagship_executions(ray_session, small_corpus,
                                           executions, tmp_path):
     """Under the checkpointing hook every stage stays a materialized,
-    written stage: twelve streaming executions on ``small_corpus`` with
+    written stage: eleven streaming executions on ``small_corpus`` with
     the default (broadcast) linking. The component exchange's input is
-    one, and the 05_triples stage that reads its output another."""
+    one, and the 05_triples stage that reads its output another;
+    collecting the alias counts for the broadcast index is none."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
     out = run_flagship_checkpointed(rd.from_arrow(small_corpus),
                                     str(tmp_path))
-    assert len(executions) == 12, executions
+    assert len(executions) == 11, executions
     assert out.count() > 0
+
+
+def test_collecting_small_exchange_starts_no_execution(ray_session,
+                                                       executions):
+    """A small exchange's output holds the refs its reducer tasks
+    returned, so collecting it fetches them without an execution."""
+    import ray.data as rd
+    ds = rd.from_pandas(pd.DataFrame({'k': [1, 2, 2, 3]})).materialize()
+    out = relational.two_phase_count(ds, ['k'])
+    before = len(executions)
+    got = relational.collect_pandas(out)
+    assert executions[before:] == []
+    assert sorted(zip(got['k'], got['cnt'])) == [(1, 1), (2, 2), (3, 1)]
+
+
+def test_resumed_join_run_makes_no_surface_rep_exchange(
+        ray_session, small_corpus, tmp_path, exchange_calls):
+    """A checkpointed ``linking='join'`` run resumed after ``04_linked``
+    loads the linked rows as a lazy ``read_parquet``, whose schema is
+    known without executing and carries ``surface_rep``. The resumed run
+    makes two exchanges, the component exchange and the sink dedup: no
+    ``surface_rep`` exchange, and no linking exchange."""
+    import shutil
+
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
+    pages = rd.from_arrow(small_corpus)
+    first = _triple_set(run_flagship_checkpointed(pages, str(tmp_path),
+                                                  linking='join'))
+    shutil.rmtree(tmp_path / '05_triples')
+    exchange_calls['bucket_exchange'] = 0
+    resumed = run_flagship_checkpointed(pages, str(tmp_path), linking='join')
+    assert exchange_calls == {'bucket_exchange': 2, 'shuffle_join': 0,
+                              'unique': 0}
+    assert _triple_set(resumed) == first
 
 
 # --- edge inputs -------------------------------------------------------------
@@ -379,17 +419,40 @@ def _triple_set(ds):
     return set(zip(t['subj'], t['pred'], t['obj'], t['is_literal'].astype(bool)))
 
 
-@pytest.mark.parametrize('cc', ['driver', 'contract'])
-@pytest.mark.parametrize('exchange', ['small', 'large'])
-@pytest.mark.parametrize('case', sorted(COMPONENT_CASES))
+def _with_surface_rep(ds):
+    """Linked rows plus ``surface_rep``, as the join linker emits them."""
+    from caligraph_ray.stages.alias import link_surface_bucket
+    return relational.bucketed_map(
+        ds, ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
+        batch_format='pyarrow').materialize()
+
+
+# ids ``<case>-<exchange>-<cc>`` for rows without ``surface_rep``, with a
+# ``-surface_rep`` suffix for rows that carry it
+EDGE_INPUTS = [
+    pytest.param(case, exchange, cc, rep, id='-'.join(
+        [case, exchange, cc] + (['surface_rep'] if rep else [])))
+    for rep in (False, True) for cc in ('driver', 'contract')
+    for exchange in ('small', 'large') for case in sorted(COMPONENT_CASES)]
+
+
+@pytest.mark.parametrize('case,exchange,cc,rep', EDGE_INPUTS)
 def test_component_exchange_edge_inputs(ray_session, monkeypatch, case,
-                                        exchange, cc):
+                                        exchange, cc, rep):
+    """Rows with ``surface_rep`` are the edge source themselves, so the
+    carried subject rows ride the keying map; rows without it take the
+    four-column ``surface_rep`` exchange, and the carried rows join the
+    component exchange by a union."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import _assemble_triples
     rows = COMPONENT_CASES[case]
     want_nodes, want_triples = _reference(rows)
     contracted = _set_regimes(monkeypatch, exchange, cc)
     ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
+    if rep:
+        ds = _with_surface_rep(ds)
+        assert canon_mod._edge_source(ds, MENTION_ENTITY_THRESHOLD,
+                                      MENTION_MENTION_THRESHOLD)[0] is ds
 
     assert _node_map(canon_mod.canonicalize(ds)) == want_nodes
     assert _triple_set(_assemble_triples(
@@ -397,24 +460,6 @@ def test_component_exchange_edge_inputs(ray_session, monkeypatch, case,
         PATH_THRESHOLD)) == want_triples
     if cc == 'contract' and case != 'no_edges':
         assert len(contracted) == 2   # both calls contracted
-
-
-@pytest.mark.parametrize('case', sorted(COMPONENT_CASES))
-def test_component_exchange_salted_regime(ray_session, case):
-    """Above SURFACE_BROADCAST_LIMIT the star edges come from the salted
-    groupby as an edge Dataset of their own, and the carried subject rows
-    join the exchange by a union: same node map and triples."""
-    import ray.data as rd
-    from caligraph_ray.pipelines.flagship import _assemble_triples
-    rows = COMPONENT_CASES[case]
-    want_nodes, want_triples = _reference(rows)
-    ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
-    total = canon_mod.SURFACE_BROADCAST_LIMIT + 1
-    assert _node_map(canon_mod.canonicalize(ds, total_rows=total)) == \
-        want_nodes
-    assert _triple_set(_assemble_triples(
-        ds, _no_cats(), MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
-        PATH_THRESHOLD, total)) == want_triples
 
 
 def test_surface_bucket_exchange_moves_only_edge_columns(ray_session,

@@ -1,8 +1,8 @@
 """Property-based cross-checks for the alias/linking family — the two
 scale regimes must agree exactly:
 
-* build_alias_index_local (driver dict) ≡ merged build_alias_index_sharded
-  shards (each surface in exactly one shard, same sorted candidate lists).
+* build_alias_index_local (driver dict) ≡ a Counter reference with the
+  same sorted candidate lists.
 * link_mentions (broadcast index lookup) ≡ link_mentions_join (one
   norm_surface exchange, each bucket linked by link_surface_bucket) —
   identical (entity, link_score) per mention, including wikilinked rows,
@@ -51,20 +51,11 @@ def _ref_index(df):
 
 @SETTINGS
 @given(mentions_frame())
-def test_local_and_sharded_index_agree(ray_session, df):
-    import ray
+def test_local_index_matches_reference(ray_session, df):
     import ray.data as rd
-    from caligraph_ray.stages.alias import (build_alias_index_local,
-                                            build_alias_index_sharded)
+    from caligraph_ray.stages.alias import build_alias_index_local
     ds = rd.from_pandas(df).repartition(2)
-    local = build_alias_index_local(ds)
-    shards = ray.get(build_alias_index_sharded(ds, n_shards=4))
-    merged = {}
-    for sh in shards:
-        for k, v in sh.items():
-            assert k not in merged, f'surface {k!r} in two shards'
-            merged[k] = v
-    assert merged == local == _ref_index(df)
+    assert build_alias_index_local(ds) == _ref_index(df)
 
 
 @SETTINGS

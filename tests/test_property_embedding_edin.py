@@ -141,8 +141,7 @@ def test_edin_clusters_matches_reference(ray_session, df, cluster_threshold):
     import ray.data as rd
     from caligraph_ray.stages.canonicalize import edin_clusters
     got = edin_clusters(rd.from_pandas(df).repartition(2),
-                        cluster_threshold=cluster_threshold,
-                        total_rows=len(df)).to_pandas()
+                        cluster_threshold=cluster_threshold).to_pandas()
     got_map = {int(r['node']): r['entity'] if pd.notna(r['entity']) else None
                for _, r in got.iterrows()}
     got_part = {}

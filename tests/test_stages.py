@@ -359,27 +359,6 @@ def test_build_context_join_equals_broadcast(ray_session, rd):
     assert [list(x) for x in bc['rels_to_page']] == [list(x) for x in jn['rels_to_page']]
 
 
-def test_sharded_alias_index_equals_local(ray_session, rd, small_corpus):
-    import ray
-    from caligraph_ray.stages.alias import (build_alias_index_local,
-                                            build_alias_index_sharded,
-                                            explode_mentions)
-    from caligraph_ray.functions.hashing import stable_hash64
-    from caligraph_ray.stages.html_extract import parse_items
-    mentions = explode_mentions(parse_items(rd.from_arrow(small_corpus))).materialize()
-    local = build_alias_index_local(mentions)
-    refs = build_alias_index_sharded(mentions, n_shards=4)
-    merged = {}
-    for ref in refs:
-        shard = ray.get(ref)
-        merged.update(shard)
-    assert merged == local
-    # shard routing: every surface lives in its hash shard
-    for i, ref in enumerate(refs):
-        for surf in ray.get(ref):
-            assert stable_hash64(surf) % 4 == i
-
-
 def test_seeded_split_and_sample_deterministic(ray_session, rd):
     from caligraph_ray.stages.relational import seeded_sample, train_val_test_split
     df = pd.DataFrame({'k': np.arange(1000)})

@@ -6,8 +6,6 @@ pytest goldens and the distributed stages can never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 # --- entity-index sentinels (reference impl/util/transformer.py:5-8) ---
 NEW_ENTITY = -1
@@ -54,11 +52,6 @@ DOMAIN_THRESHOLD = 0.96
 RANGE_THRESHOLD = 0.77
 
 # --- broadcast-dim budget ---
-# mention volume above which the alias index is NOT collected/broadcast and
-# linking runs as a co-partitioned hash join instead (the distinct
-# (surface, entity) dim stops fitting one object-store entry / the driver)
-ALIAS_BROADCAST_LIMIT = 20_000_000
-
 # distinct-surface-name cardinality above which the scored ED path must NOT
 # collect the entity-name dim to the driver (flagship linking='scored'); the
 # linker then runs against object-store name shards instead (ed.py
@@ -92,7 +85,7 @@ NGRAM_JACCARD_THRESHOLD = 0.8
 EMBEDDING_DUP_COSINE = 0.95
 # exact O(N²) embedding near-dup runs K(K+1)/2 block-pair tasks; above this
 # many normalized blocks the auto path routes to the sub-quadratic LSH
-# variant (same auto-gate pattern as ALIAS_BROADCAST_LIMIT). 64 blocks ×
+# variant (same auto-gate pattern as SCORED_NAME_LIMIT). 64 blocks ×
 # 65536 rows ≈ 4M vectors / 2080 tasks — past that, exact is a scale-killer.
 EMBEDDING_EXACT_MAX_BLOCKS = 64
 # per-ROW page-parse wall-clock budget (reference: 60 s SIGALRM,
@@ -113,28 +106,3 @@ LISTING_TYPE_STD_THRESHOLD = 0.2
 LISTING_RELATION_MEAN_THRESHOLD = 0.85
 LISTING_RELATION_STD_THRESHOLD = 0.2
 
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Bag of knobs a pipeline invocation can override (the analogue of the
-    reference's config.yaml:4-25 threshold block)."""
-    min_enum_entries: int = MIN_ENUM_ENTRIES
-    min_table_rows: int = MIN_TABLE_ROWS
-    pattern_conf: float = CAT2AX_PATTERN_CONF
-    me_threshold: float = MENTION_ENTITY_THRESHOLD
-    mm_threshold: float = MENTION_MENTION_THRESHOLD
-    path_threshold: float = PATH_THRESHOLD
-    output_partitions: int = OUTPUT_PARTITIONS
-    # round-2 surface
-    linking: str = 'auto'                     # broadcast | join | scored | auto
-    alias_broadcast_limit: int = ALIAS_BROADCAST_LIMIT
-    type_mean_threshold: float = LISTING_TYPE_MEAN_THRESHOLD
-    type_std_threshold: float = LISTING_TYPE_STD_THRESHOLD
-    relation_mean_threshold: float = LISTING_RELATION_MEAN_THRESHOLD
-    relation_std_threshold: float = LISTING_RELATION_STD_THRESHOLD
-    valid_tag_threshold: float = 0.35         # listing.valid_tag_threshold
-    redirect_guard: int = 2                   # levenshtein spelling guard
-    taxonomy_min_support: int = 5             # A9 transitive fallback gate
-
-
-DEFAULT_CONFIG = EngineConfig()

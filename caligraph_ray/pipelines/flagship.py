@@ -1,22 +1,22 @@
 """Flagship KG-construction pipeline (SURVEY.md §7.2 end-to-end slice).
 
 read pages → map_batches(parse: text + listings + mentions) → flat item rows
-→ explode mentions → link (broadcast alias index + stateless lookup tasks,
-one norm_surface exchange that links each surface bucket, or the scored ED
-stack as warm stateless tasks) → canonicalization: alignment edges +
-connected components, then one component-keyed exchange that splits each
-component NASTyLinker style and emits its subject mentions' triples →
-dedup/sort → hash-partitioned Parquet.
+→ explode mentions → link (one norm_surface exchange that links each
+surface bucket, or the scored ED stack as warm stateless tasks) →
+canonicalization: alignment edges + connected components, then one
+component-keyed exchange that splits each component NASTyLinker style and
+emits its subject mentions' triples → dedup/sort → hash-partitioned
+Parquet.
 
 Exercises every execution pattern of the north star: stateless Arrow
-map_batches, broadcast small-side join, per-process model caches, keyed
-exchanges, CC merge and a sort-materialize sink.
+map_batches, broadcast small-side join (the scored linker's entity index),
+per-process model caches, keyed exchanges, CC merge and a
+sort-materialize sink.
 
 A direct run (no ``stage_hook``) materializes only what a later step
 reads more than once or needs as a barrier: the slim union, the linked
 rows and each exchange's input. The mention and category rows stay lazy
-views over the slim union, the mentions are counted only for the
-``linking='auto'`` gate, and the alignment edges are computed per block
+views over the slim union, and the alignment edges are computed per block
 of their source rows, never materialized. At the benchmark's 1,000 pages
 that is five serial streaming executions on the join path.
 """
@@ -28,11 +28,9 @@ from typing import Optional
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..config import (MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
                       PATH_THRESHOLD)
-from ..stages.alias import build_alias_index_local, link_mentions
 from ..stages.canonicalize import canonicalize
 from ..stages.triples import TRIPLES_SCHEMA, materialize_triples
 
@@ -124,22 +122,19 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
                  me_threshold: float = MENTION_ENTITY_THRESHOLD,
                  mm_threshold: float = MENTION_MENTION_THRESHOLD,
                  path_threshold: float = PATH_THRESHOLD,
-                 concurrency: Optional[int] = None, linking: str = 'auto',
+                 concurrency: Optional[int] = None, linking: str = 'join',
                  redirects_ds=None, canon: str = 'join',
                  markup: str = 'html', embedder_factory=None,
                  reranker_factory=None, stage_hook=None):
     """pages Dataset (F1 schema) → deduped, sorted triples Dataset.
 
-    ``linking``: 'broadcast' (index collected + ray.put once — fastest while
-    the surface dim fits the object-store budget), 'join' (one norm_surface
-    exchange; each surface bucket counts, argmaxes and links its own rows,
-    nothing driver-side — the 10^12-row path), 'scored' (the full ED stack:
-    bi-encoder embed → candidate top-k → cross-encoder rerank, deterministic
-    stand-ins behind the real model interfaces, run as warm stateless tasks
-    — stages/ed.py),
-    or 'auto' (pick broadcast/join by mention volume vs ALIAS_BROADCAST_LIMIT).
-    Every linking mode canonicalizes through ``canonicalize()``'s
-    component exchange; ``canon`` accepts only 'join', which names it.
+    ``linking``: 'join' (one norm_surface exchange; each surface bucket
+    counts, argmaxes and links its own rows, nothing driver-side) or
+    'scored' (the full ED stack: bi-encoder embed → candidate top-k →
+    cross-encoder rerank, deterministic stand-ins behind the real model
+    interfaces, run as warm stateless tasks — stages/ed.py). Both
+    canonicalize through ``canonicalize()``'s component exchange;
+    ``canon`` accepts only 'join', which names it.
 
     ``stage_hook(name, build) -> Dataset`` intercepts every wide stage
     boundary (01_combined parse+slim-union, 02_categories, 03_mentions,
@@ -150,13 +145,17 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     genuinely needs pinned are materialized: 02_categories is a stage only
     under a hook (otherwise a lazy view the sink reads), mentions stays a
     lazy filter view, and assembled triples stream into the sink."""
-    from ..config import ALIAS_BROADCAST_LIMIT
     from ..stages.alias import link_mentions_join
     from ..stages.html_extract import parse_pages
     if canon != 'join':
         raise ValueError(
             f"canon={canon!r}: the surface canonicalization path was removed; "
             f"'join' (the component-exchange tail) is the only value")
+    if linking not in ('join', 'scored'):
+        raise ValueError(
+            f"linking={linking!r}: the broadcast alias-linking path "
+            f"('broadcast', 'auto') was removed; 'join' (the norm_surface "
+            f"exchange) and 'scored' are the values")
     # ONE parse per page, fused straight into the mention/category
     # projection: only the SLIM (mentions ∪ cats) union is materialized —
     # never the full parsed item rows with their token lists, whose
@@ -194,14 +193,11 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
         # resumability wants the exploded mentions durable; the extra write
         # is the checkpointing price and only paid when a hook is installed
         mentions = run('03_mentions', lambda: mentions)
-    # else: mentions stays a LAZY filter over the pinned slim union — its
-    # consumers (index scan, linking) fuse the cheap arrow mask into
-    # their own scans. Re-materializing the filter was a full extra
-    # write pass of ~95% of the union's rows (15 s at 2M pages / 16 CPUs)
-    # that bought nothing: the union IS the pinned copy. Only the 'auto'
-    # gate counts them (one execution).
-    use_join = linking == 'join' or (
-        linking == 'auto' and mentions.count() > ALIAS_BROADCAST_LIMIT)
+    # else: mentions stays a LAZY filter over the pinned slim union — the
+    # linker fuses the cheap arrow mask into its own scan. Re-materializing
+    # the filter was a full extra write pass of ~95% of the union's rows
+    # (15 s at 2M pages / 16 CPUs) that bought nothing: the union IS the
+    # pinned copy.
     if linking == 'scored':
         # the constructor-swap seam reaches the full pipeline: pass
         # factories returning TRAINED models (functions/train_transformer)
@@ -209,13 +205,8 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
         linked = run('04_linked', lambda: _scored_linked(
             mentions, embedder_factory=embedder_factory,
             reranker_factory=reranker_factory))
-    elif use_join:
-        linked = run('04_linked', lambda: link_mentions_join(mentions))
     else:
-        index_ref = ray.put(build_alias_index_local(mentions))
-        linked = run('04_linked',
-                     lambda: link_mentions(mentions, index_ref,
-                                           concurrency=concurrency))
+        linked = run('04_linked', lambda: link_mentions_join(mentions))
 
     all_triples = _assemble_triples(linked, cats, me_threshold, mm_threshold,
                                     path_threshold)
@@ -230,7 +221,7 @@ def run_flagship_checkpointed(pages_ds, root: str,
                               me_threshold: float = MENTION_ENTITY_THRESHOLD,
                               mm_threshold: float = MENTION_MENTION_THRESHOLD,
                               path_threshold: float = PATH_THRESHOLD,
-                              linking: str = 'broadcast',
+                              linking: str = 'join',
                               redirects_ds=None, markup: str = 'html',
                               **kw):
     """Checkpointed flagship: ``run_flagship`` with a ``stage_hook`` that

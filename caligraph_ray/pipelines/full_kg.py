@@ -13,7 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..stages.alias import build_alias_index_local, link_mentions
+from ..stages.alias import link_mentions_join
 from ..stages.cat2ax import axioms_to_triples, extract_axioms
 from ..stages.html_extract import parse_pages
 from ..stages.listing_rules import (apply_rules, build_context,
@@ -46,16 +46,9 @@ def run_full_kg(pages_ds, categories_ds=None, facts_ds=None,
     mentions = combined.map_batches(_mentions_of,
                                     batch_format='pyarrow').materialize()
     del combined
-    # same volume gate as run_flagship(linking='auto'): broadcast index
-    # under the object budget, co-partitioned hash join above it (the
-    # 10^12-row path; nothing driver-sized leaves the cluster)
-    from ..config import ALIAS_BROADCAST_LIMIT
-    if mentions.count() > ALIAS_BROADCAST_LIMIT:
-        from ..stages.alias import link_mentions_join
-        linked = link_mentions_join(mentions).materialize()
-    else:
-        index_ref = ray.put(build_alias_index_local(mentions))
-        linked = link_mentions(mentions, index_ref).materialize()
+    # one norm_surface exchange links each surface bucket, as in
+    # run_flagship (nothing driver-sized leaves the cluster)
+    linked = link_mentions_join(mentions).materialize()
 
     streams = [_assemble_triples(linked, cats, me_threshold, mm_threshold,
                                  path_threshold)]

@@ -1,37 +1,30 @@
-"""Surface-form alias index + broadcast entity linking (north-star ST9/J1/A2/D2).
+"""Surface-form alias counts + most-frequent-entity linking (north-star
+ST9/J1/A2/D2).
 
-Build side (A2, reference impl/dbpedia/resource.py:173-194): count
-(norm_surface, entity) pairs over all wikilink mentions with a two-phase
-aggregate — partial counts inside ``map_batches`` (one row per key per
-batch, bounding shuffle volume by #batches × #distinct-keys-per-batch even
-for head surfaces like 'United States') followed by a small
-``groupby().sum()``. The finished index is a driver dict put in the object
-store ONCE (``ray.put``) and read once per worker process — never
-re-shipped per batch.
+Counts (A2, reference impl/dbpedia/resource.py:173-194): ``alias_counts``
+counts (norm_surface, entity) pairs over all wikilink mentions with a
+two-phase aggregate — partial counts inside ``map_batches`` (one row per
+key per batch, bounding shuffle volume by #batches × #distinct-keys-per-
+batch even for head surfaces like 'United States') followed by a small
+``groupby().sum()``.
 
-Lookup side (J1, reference wikimarkup_parser.py:50-59): a stateless
-``map_batches`` stage (``link_mentions``) resolving unlinked mentions to
-their most-frequent entity for the surface form.
-
-Scale path (``link_mentions_join``): no index object at all — one exchange
-on norm_surface, and each bucket counts, takes the argmax and links its own
-rows (``link_surface_bucket``), emitting the surface representative the
+Linking (J1, reference wikimarkup_parser.py:50-59): ``link_mentions_join``
+resolves unlinked mentions to the most frequent entity of their surface
+form with no index object at all — one exchange on norm_surface, and each
+bucket counts, takes the argmax and links its own rows
+(``link_surface_bucket``), emitting the surface representative the
 alignment edges need on the way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
-from ..config import NEW_ENTITY, TOKEN_BATCH_SIZE
+from ..config import TOKEN_BATCH_SIZE
 from ..functions.hashing import stable_hash64
-from ..functions.strings import (is_valid_entity_label, normalize_surface,
-                                 normalize_surface_array)
+from ..functions.strings import normalize_surface_array
 
 MENTIONS_SCHEMA = pa.schema([
     ('mention_uid', pa.int64()),
@@ -163,103 +156,7 @@ def alias_counts(mentions_ds):
                                 {'freq': ('cnt', 'sum')})
 
 
-AliasIndex = Dict[str, List[Tuple[str, int]]]
-
-
-def build_alias_index(mentions_ds) -> Tuple["ray.ObjectRef", int]:
-    """Collect the (small-dim) alias index to the driver and broadcast it.
-
-    Per-surface entity lists are sorted by (freq desc, name asc) so the
-    argmax is deterministic. Above the object-store budget no index is
-    built: ``link_mentions_join`` links inside one norm_surface exchange
-    instead (SURVEY.md §4 spill row).
-    """
-    index = build_alias_index_local(mentions_ds)
-    return ray.put(index), len(index)
-
-
-def build_alias_index_local(mentions_ds) -> AliasIndex:
-    """Driver-side alias index dict (also the source of the known-entity
-    dimension: every linked target appears as some surface's candidate).
-
-    Vectorized build: ONE NUL-safe global sort (``_alias_order``) replaces
-    the per-key sorts, and numpy boundary slicing replaces the
-    per-row setdefault/append — the dict construction was a 13 s serial
-    driver stall at 2M pages (fixed cost on every leg of the scaling
-    ratio) and is ~6× cheaper this way."""
-    from .relational import collect_pandas
-    df = collect_pandas(alias_counts(mentions_ds))
-    if df.empty:
-        return {}
-    codes = pc.dictionary_encode(pa.array(df['norm_surface'], pa.string())) \
-        .indices.to_numpy()
-    freqs = df['freq'].to_numpy().astype('int64')
-    o = _alias_order(codes, freqs, df['name'].to_numpy(dtype=object))
-    codes, freqs = codes[o], freqs[o]
-    surfaces = df['norm_surface'].to_numpy()[o]
-    names = df['name'].to_numpy()[o]
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    ends = np.r_[starts[1:], len(codes)]
-    index: AliasIndex = {}
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        index[surfaces[s]] = list(zip(names[s:e].tolist(),
-                                      freqs[s:e].tolist()))
-    return index
-
-
-LINKED_EXTRA_FIELDS = [('entity', pa.string()), ('link_score', pa.float64())]
-
-
-def _resolve_surface(index: AliasIndex, surf: str):
-    cands = index.get(surf)
-    if not cands:
-        return (None, 0.0)
-    total = sum(f for _, f in cands)
-    return (cands[0][0], cands[0][1] / total if total else 0.0)
-
-
-def link_batch(batch: pa.Table, index: AliasIndex) -> pa.Table:
-    """Vectorized: wikilinked rows keep their target (score 1) via masks;
-    unlinked rows resolve via ONE lookup per DISTINCT surface in the batch
-    (surfaces repeat heavily), then a vectorized map."""
-    import pyarrow.compute as pc
-    names = batch.column('name')
-    linked = pc.is_valid(names).to_numpy(zero_copy_only=False)
-    surfaces = batch.column('norm_surface').to_pylist()
-    n = batch.num_rows
-    entities = np.array(names.to_pylist(), dtype=object)
-    scores = np.where(linked, 1.0, 0.0)
-    null_idx = np.where(~linked)[0]
-    if len(null_idx):
-        uniq = {}
-        for i in null_idx:
-            s = surfaces[i]
-            if s not in uniq:
-                uniq[s] = _resolve_surface(index, s)
-        ents = np.array([uniq[surfaces[i]][0] for i in null_idx], dtype=object)
-        scs = np.array([uniq[surfaces[i]][1] for i in null_idx])
-        entities[null_idx] = ents
-        scores[null_idx] = scs
-    out = batch.append_column('entity', pa.array(entities, pa.string()))
-    return out.append_column('link_score', pa.array(scores, pa.float64()))
-
-
-def link_mentions(mentions_ds, index_ref, concurrency: Optional[int] = None):
-    """mention rows → + (entity, link_score) via broadcast alias lookup.
-    Stateless tasks + process-local broadcast cache (one deserialize per
-    worker process, instant scale-out — see state/broadcast.py)."""
-    from ..state.broadcast import get_broadcast
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return link_batch(batch, get_broadcast(index_ref))
-
-    # whole blocks: one distinct-surface lookup table per BLOCK instead of
-    # per 4096-row slice (fewer repeated lookups, no block re-slicing)
-    return mentions_ds.map_batches(fn, batch_format='pyarrow',
-                                   batch_size=None)
-
-
-# --- scale path: linking inside one norm_surface exchange -----------------
+# --- linking inside one norm_surface exchange ------------------------------
 
 def _alias_order(codes: np.ndarray, freqs: np.ndarray,
                  names: np.ndarray) -> np.ndarray:
@@ -274,10 +171,10 @@ def _alias_order(codes: np.ndarray, freqs: np.ndarray,
 def link_surface_bucket(t: pa.Table, link: bool = True) -> pa.Table:
     """A ``norm_surface`` bucket of mention rows (each surface whole) → the
     rows plus ``surface_rep`` (the surface's min mention_uid; '' and null
-    are surfaces too) and, with ``link``, ``link_mentions``' (entity,
-    link_score): wikilinked rows keep their target at 1.0, the others take
-    the surface's alias argmax at freq/total (surface '' has none, as in
-    ``alias_counts``) or stay NIL. Groups are Arrow dictionary codes, which
+    are surfaces too) and, with ``link``, (entity, link_score): wikilinked
+    rows keep their target at 1.0, the others take the surface's alias
+    argmax at freq/total (surface '' has none, as in ``alias_counts``) or
+    stay NIL. Groups are Arrow dictionary codes, which
     hash bytes, so NUL-distinct keys never merge."""
     surf = pc.dictionary_encode(t.column('norm_surface').combine_chunks(),
                                 null_encoding='encode')
@@ -318,12 +215,12 @@ def link_surface_bucket(t: pa.Table, link: bool = True) -> pa.Table:
 
 
 def link_mentions_join(mentions_ds):
-    """Linking WITHOUT a driver-side index, in ONE norm_surface exchange
-    whose buckets link their own rows (``link_surface_bucket``): exactly
-    the ``link_mentions`` output plus ``surface_rep``, from which
-    ``canonicalize.build_alignment_edges`` builds the star edges with no
-    further exchange. The 10^12-row path the broadcast index cannot serve
-    (reference resource.py:173-194 semantics, distributed)."""
+    """mention rows → + (entity, link_score, surface_rep), linked WITHOUT
+    a driver-side index in ONE norm_surface exchange whose buckets link
+    their own rows (``link_surface_bucket``). ``surface_rep`` is what
+    ``canonicalize.build_alignment_edges`` builds the star edges from, with
+    no further exchange (reference resource.py:173-194 semantics,
+    distributed)."""
     from .relational import bucketed_map
     return bucketed_map(mentions_ds, ['norm_surface'], link_surface_bucket,
                         batch_format='pyarrow')

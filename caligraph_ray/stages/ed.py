@@ -477,7 +477,7 @@ def link_mentions_scored(mentions_ds, entity_labels: List[str], k: int = 4,
     """The complete ED stack as a linking stage: embed mentions (ST4) →
     ME candidate top-k vs the broadcast entity matrix (J7/ST5) → cross-
     encoder rerank argmax (ST7) → (entity, link_score) columns with the
-    ``link_mentions`` output contract. Wikilinked mentions keep their
+    ``link_mentions_join`` output contract. Wikilinked mentions keep their
     target (score 1.0); a mention stays NIL only when the entity dim is
     empty or its label is empty (score 0.0 beats nothing) — every
     other unlinked mention carries its argmax candidate with its RAW ce

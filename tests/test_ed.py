@@ -76,26 +76,13 @@ def test_mm_candidates_star(ray_session, rd):
     assert got == {(3, 5), (3, 9), (7, 8)}
 
 
-def test_flagship_join_linking_equals_broadcast(ray_session, rd, small_corpus):
-    """run_flagship(linking='join') — the 10^12-row path, whose linking
-    exchange also emits each mention's ``surface_rep`` — must produce
-    exactly the broadcast path's triples. Pins the end-to-end path the
-    stage-level link-join test cannot reach."""
-    from caligraph_ray.pipelines.flagship import run_flagship
-    pages = rd.from_arrow(small_corpus)
-    base = run_flagship(pages, linking='broadcast').to_pandas()
-    joined = run_flagship(pages, linking='join').to_pandas()
-    key = ['subj', 'pred', 'obj', 'is_literal']
-    assert set(map(tuple, base[key].values.tolist())) ==         set(map(tuple, joined[key].values.tolist()))
-
-
 def test_flagship_scored_path(ray_session, rd, small_corpus):
     """The flagship accepts the ED-stack linking path: wikilinked mentions
     keep their targets, and the pipeline produces the same triple *shape*
     (same predicates, same subjects for exact-label mentions)."""
     from caligraph_ray.pipelines.flagship import run_flagship
     pages = rd.from_arrow(small_corpus)
-    base = run_flagship(pages, linking='broadcast').to_pandas()
+    base = run_flagship(pages).to_pandas()
     scored = run_flagship(pages, linking='scored').to_pandas()
     assert set(scored['pred']) == set(base['pred'])
     # wikilink-anchored facts are identical on both paths (score-1 links)

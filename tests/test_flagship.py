@@ -5,7 +5,6 @@ oracle re-implementation in tests/oracle_kg.py). Deterministic pipeline →
 we assert exact set equality (P = R = 1.0), strictly stronger than the gate.
 """
 
-import pyarrow as pa
 import pytest
 
 from caligraph_ray.corpus import generate_pages_table
@@ -35,8 +34,7 @@ def test_flagship_matches_oracle(ray_session, small_corpus):
     assert got == want, f'missing={list(missing)[:5]} extra={list(extra)[:5]}'
 
 
-@pytest.mark.parametrize('linking', ['broadcast', 'join'])
-def test_flagship_matches_oracle_past_fixture(ray_session, linking):
+def test_flagship_matches_oracle_past_fixture(ray_session):
     """The 80-page fixture hides mention_uid collisions; 120 pages (seed
     42) carry 92 URLs, so uids collide across re-fetches and one surface
     can hold a uid twice. The oracle merges each colliding uid into one
@@ -44,13 +42,17 @@ def test_flagship_matches_oracle_past_fixture(ray_session, linking):
     table = generate_pages_table(120, seed=42)
     pages = list(zip(table.column('url').to_pylist(),
                      table.column('html').to_pylist()))
-    assert _run(table, linking=linking) == oracle_triples(pages)
+    assert _run(table) == oracle_triples(pages)
 
 
 def test_flagship_rejects_removed_canon_value():
     from caligraph_ray.pipelines.flagship import run_flagship
     with pytest.raises(ValueError, match='surface canonicalization path was removed'):
         run_flagship(None, canon='surface')
+    for linking in ('broadcast', 'auto'):
+        with pytest.raises(ValueError,
+                           match='broadcast alias-linking path .* was removed'):
+            run_flagship(None, linking=linking)
 
 
 def test_flagship_scored_sharded_gate_matches_broadcast(
@@ -74,19 +76,6 @@ def test_flagship_on_documents_smoke(ray_session):
     rows = ds.take(50)
     assert len(rows) > 0
     assert set(rows[0].keys()) == {'subj', 'pred', 'obj', 'is_literal'}
-
-
-def test_flagship_auto_linking_gate_matches_both_regimes(
-        ray_session, small_corpus, monkeypatch):
-    """``linking='auto'`` counts the mentions and picks join linking above
-    ALIAS_BROADCAST_LIMIT (forced to 0 here), broadcast linking at the
-    default: each gives the triples of the regime it picked."""
-    from caligraph_ray import config
-    assert _run(small_corpus, linking='auto') == \
-        _run(small_corpus, linking='broadcast')
-    monkeypatch.setattr(config, 'ALIAS_BROADCAST_LIMIT', 0)
-    assert _run(small_corpus, linking='auto') == \
-        _run(small_corpus, linking='join')
 
 
 def test_flagship_redirects_direct_matches_checkpointed(

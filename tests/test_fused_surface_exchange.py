@@ -13,13 +13,15 @@ norm_surface exchange, and canonicalizes inside one component exchange.
 * The connected-components gate reads the raw edge counts of the
   per-block projection, and above ``driver_limit`` fetches no pair array.
 * Edge inputs for the surface kernel, in both exchange regimes: its
-  (entity, link_score) equal the broadcast ``link_mentions`` result, and
-  the component partition of its edges equals a plain-Python star
-  construction's.
+  (entity, link_score) equal a plain-Python Counter reference's, and
+  the component partition of its edges, with or without ``surface_rep``
+  on the rows, equals a plain-Python star construction's.
 * Collecting a small exchange's output starts no execution: its blocks
   are the refs its reducer tasks returned.
-* A checkpointed join run resumed after ``04_linked`` reads linked rows
-  that carry ``surface_rep`` and makes no ``surface_rep`` exchange.
+* A default checkpointed run resumed after ``03_mentions`` scans the
+  mentions once, in its linking exchange; resumed after ``04_linked`` it
+  reads linked rows that carry ``surface_rep`` and makes no
+  ``surface_rep`` exchange.
 * Edge inputs for the component exchange, from rows with and without
   ``surface_rep``, in both exchange regimes and both connected-components
   regimes (driver union-find, and contraction forced by a
@@ -131,15 +133,14 @@ def test_scored_flagship_executions(ray_session, small_corpus, executions):
 def test_checkpointed_flagship_executions(ray_session, small_corpus,
                                           executions, tmp_path):
     """Under the checkpointing hook every stage stays a materialized,
-    written stage: eleven streaming executions on ``small_corpus`` with
-    the default (broadcast) linking. The component exchange's input is
-    one, and the 05_triples stage that reads its output another;
-    collecting the alias counts for the broadcast index is none."""
+    written stage: nine streaming executions on ``small_corpus``. The
+    linking exchange's input is one, the component exchange's input
+    another, and the 05_triples stage that reads its output a third."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
     out = run_flagship_checkpointed(rd.from_arrow(small_corpus),
                                     str(tmp_path))
-    assert len(executions) == 11, executions
+    assert len(executions) == 9, executions
     assert out.count() > 0
 
 
@@ -158,23 +159,51 @@ def test_collecting_small_exchange_starts_no_execution(ray_session,
 
 def test_resumed_join_run_makes_no_surface_rep_exchange(
         ray_session, small_corpus, tmp_path, exchange_calls):
-    """A checkpointed ``linking='join'`` run resumed after ``04_linked``
-    loads the linked rows as a lazy ``read_parquet``, whose schema is
-    known without executing and carries ``surface_rep``. The resumed run
-    makes two exchanges, the component exchange and the sink dedup: no
+    """A default checkpointed run resumed after ``04_linked`` loads the
+    linked rows as a lazy ``read_parquet``, whose schema is known without
+    executing and carries ``surface_rep``. The resumed run makes two
+    exchanges, the component exchange and the sink dedup: no
     ``surface_rep`` exchange, and no linking exchange."""
     import shutil
 
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
     pages = rd.from_arrow(small_corpus)
-    first = _triple_set(run_flagship_checkpointed(pages, str(tmp_path),
-                                                  linking='join'))
+    first = _triple_set(run_flagship_checkpointed(pages, str(tmp_path)))
     shutil.rmtree(tmp_path / '05_triples')
     exchange_calls['bucket_exchange'] = 0
-    resumed = run_flagship_checkpointed(pages, str(tmp_path), linking='join')
+    resumed = run_flagship_checkpointed(pages, str(tmp_path))
     assert exchange_calls == {'bucket_exchange': 2, 'shuffle_join': 0,
                               'unique': 0}
+    assert _triple_set(resumed) == first
+
+
+def test_resume_after_mentions_scans_them_once(
+        ray_session, small_corpus, tmp_path, exchange_calls, executions):
+    """The resume the benchmark times: a default checkpointed run resumed
+    after ``03_mentions`` (``04_linked``, ``05_triples`` and the sink
+    deleted) makes three exchanges (linking, component, sink dedup), runs
+    no alias-count operator, and writes the first run's sink. That is five
+    streaming executions: the linking exchange's input (the one scan of
+    ``03_mentions``), the component exchange's input, the 05_triples
+    stage, the sink dedup's input and the sink write."""
+    import shutil
+
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
+    pages = rd.from_arrow(small_corpus)
+    first = _triple_set(run_flagship_checkpointed(pages, str(tmp_path)))
+    for d in ('04_linked', '05_triples', 'triples_out'):
+        shutil.rmtree(tmp_path / d)
+    exchange_calls['bucket_exchange'] = 0
+    before = len(executions)
+    resumed = run_flagship_checkpointed(pages, str(tmp_path))
+    resumed_executions = executions[before:]
+    assert exchange_calls == {'bucket_exchange': 3, 'shuffle_join': 0,
+                              'unique': 0}
+    assert len(resumed_executions) == 5, resumed_executions
+    assert not any('_partial_alias_counts' in e for e in resumed_executions), \
+        resumed_executions
     assert _triple_set(resumed) == first
 
 
@@ -235,7 +264,7 @@ def _partition(edge_pairs):
 
 
 def _star_partition(rows, links):
-    """Plain-Python alignment graph: me edges over the broadcast links,
+    """Plain-Python alignment graph: me edges over the reference links,
     stars from each surface's min uid (every surface, '' included)."""
     pairs = []
     for u, lst in links.items():
@@ -255,22 +284,25 @@ def _star_partition(rows, links):
 @pytest.mark.parametrize('case', sorted(CASES))
 def test_surface_kernel_edge_inputs(ray_session, monkeypatch, case, regime):
     import ray.data as rd
-    from caligraph_ray.stages.alias import (build_alias_index, link_mentions,
-                                            link_mentions_join)
+    from caligraph_ray.stages.alias import link_mentions_join
     from caligraph_ray.stages.canonicalize import build_alignment_edges
     from caligraph_ray.stages.relational import collect_pandas
+    from test_property_alias import _ref_links
     if regime == 'large':
         monkeypatch.setattr(relational, 'SMALL_EXCHANGE_BYTES', -1)
     rows = CASES[case]
     ds = rd.from_pandas(_frame(rows)).repartition(3).materialize()
-    ref, _ = build_alias_index(ds)
-    want = _links(collect_pandas(link_mentions(ds, ref)))
+    want = {}
+    for u, e, s in _ref_links(_frame(rows)):
+        want.setdefault(u, []).append((e, s))
+    want = {u: sorted(v, key=repr) for u, v in want.items()}
     linked = link_mentions_join(ds).materialize()
     assert _links(collect_pandas(linked)) == want
     expected = _star_partition(rows, want)
     for edges in (build_alignment_edges(linked),
                   # rows without surface_rep take the rep-only kernel
-                  build_alignment_edges(link_mentions(ds, ref).materialize())):
+                  build_alignment_edges(
+                      linked.drop_columns(['surface_rep']).materialize())):
         e = collect_pandas(edges)
         got = [] if e.empty else list(zip(e['src'], e['dst']))
         assert _partition(got) == expected

@@ -1,17 +1,12 @@
-"""Property-based cross-checks for the alias/linking family — the two
-scale regimes must agree exactly:
+"""Property-based cross-checks of the alias linker against a plain-Python
+Counter reference with the (freq desc, name asc) tie-break:
 
-* build_alias_index_local (driver dict) ≡ a Counter reference with the
-  same sorted candidate lists.
-* link_mentions (broadcast index lookup) ≡ link_mentions_join (one
-  norm_surface exchange, each bucket linked by link_surface_bucket) —
-  identical (entity, link_score) per mention, including wikilinked rows,
-  NIL surfaces and ties.
-* the per-surface argmax of link_surface_bucket ≡ a Counter reference with
-  the (freq desc, name asc) tie-break.
+* link_mentions_join (one norm_surface exchange, each bucket linked by
+  link_surface_bucket) gives every mention the reference's
+  (entity, link_score), including wikilinked rows, NIL surfaces and ties.
+* the per-surface argmax of link_surface_bucket equals the reference's.
 """
 
-import numpy as np
 import pandas as pd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -49,34 +44,37 @@ def _ref_index(df):
     return index
 
 
-@SETTINGS
-@given(mentions_frame())
-def test_local_index_matches_reference(ray_session, df):
-    import ray.data as rd
-    from caligraph_ray.stages.alias import build_alias_index_local
-    ds = rd.from_pandas(df).repartition(2)
-    assert build_alias_index_local(ds) == _ref_index(df)
+def _ref_links(df):
+    """Per row, (mention_uid, entity, link_score): wikilinked rows keep
+    their target at 1.0, the others take their surface's argmax at
+    freq/total, or (None, 0.0) when the surface has no candidate."""
+    index = _ref_index(df)
+    out = []
+    for uid, surf, name in zip(df['mention_uid'], df['norm_surface'],
+                               df['name']):
+        cands = index.get(surf)
+        if name is not None:
+            out.append((int(uid), name, 1.0))
+        elif cands:
+            total = sum(c for _, c in cands)
+            out.append((int(uid), cands[0][0], round(cands[0][1] / total, 12)))
+        else:
+            out.append((int(uid), None, 0.0))
+    return out
 
 
 @SETTINGS
 @given(mentions_frame())
-def test_broadcast_and_join_linking_agree(ray_session, df):
-    import ray
+def test_join_linking_matches_reference(ray_session, df):
     import ray.data as rd
-    from caligraph_ray.stages.alias import (build_alias_index,
-                                            link_mentions,
-                                            link_mentions_join)
+    from caligraph_ray.stages.alias import link_mentions_join
     ds = rd.from_pandas(df).repartition(2)
-    idx_ref, _ = build_alias_index(ds)
-    via_bcast = link_mentions(ds, idx_ref).to_pandas()
     via_join = link_mentions_join(ds).to_pandas()
-
-    def canon(d):
-        return {int(r['mention_uid']):
-                (r['entity'] if pd.notna(r['entity']) else None,
-                 round(float(r['link_score']), 12))
-                for _, r in d.iterrows()}
-    assert canon(via_bcast) == canon(via_join)
+    got = {int(r['mention_uid']):
+           (r['entity'] if pd.notna(r['entity']) else None,
+            round(float(r['link_score']), 12))
+           for _, r in via_join.iterrows()}
+    assert got == {u: (e, s) for u, e, s in _ref_links(df)}
 
 
 @SETTINGS

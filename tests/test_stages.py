@@ -16,16 +16,15 @@ def rd(ray_session):
 
 
 def test_alias_index_and_linking(ray_session, rd, small_corpus):
-    from caligraph_ray.stages.alias import (alias_counts, build_alias_index,
-                                            explode_mentions, link_mentions)
+    from caligraph_ray.stages.alias import (alias_counts, explode_mentions,
+                                            link_mentions_join)
     from caligraph_ray.stages.html_extract import parse_items
     pages = rd.from_arrow(small_corpus)
     items = parse_items(pages).materialize()
     mentions = explode_mentions(items).materialize()
     assert mentions.count() > 0
-    ref, n_surfaces = build_alias_index(mentions)
-    assert n_surfaces > 0
-    linked = link_mentions(mentions, ref).materialize()
+    assert alias_counts(mentions).count() > 0
+    linked = link_mentions_join(mentions).materialize()
     rows = linked.take_all()
     # every wikilink mention keeps its target with score 1
     for r in rows:
@@ -311,21 +310,6 @@ def test_shuffle_join_matches_pandas(ray_session, rd):
     want_l = l.merge(r, how='left', left_on='k', right_on='kk')
     assert len(got_l) == len(want_l)
     assert got_l['y'].isna().sum() == want_l['y'].isna().sum()
-
-
-def test_link_mentions_join_equals_broadcast(ray_session, rd, small_corpus):
-    from caligraph_ray.stages.alias import (build_alias_index, explode_mentions,
-                                            link_mentions, link_mentions_join)
-    from caligraph_ray.stages.html_extract import parse_items
-    pages = rd.from_arrow(small_corpus)
-    mentions = explode_mentions(parse_items(pages)).materialize()
-    ref, _ = build_alias_index(mentions)
-    a = link_mentions(mentions, ref).to_pandas()
-    b = link_mentions_join(mentions).to_pandas()
-    cols = ['mention_uid', 'entity', 'link_score']
-    a = a[cols].fillna({'entity': ''}).sort_values(cols).reset_index(drop=True)
-    b = b[cols].fillna({'entity': ''}).sort_values(cols).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
 def test_build_context_join_equals_broadcast(ray_session, rd):

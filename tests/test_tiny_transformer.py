@@ -78,7 +78,7 @@ def test_rerank_candidates_with_real_model(ray_session):
 def test_link_mentions_scored_swap_end_to_end(ray_session):
     """The full ED linking path with the real model in BOTH slots: model
     built once per actor, entity dim embedded by the same model on the
-    driver, linked output honors the link_mentions contract."""
+    driver, linked output honors the link_mentions_join contract."""
     import ray.data as rd
     from caligraph_ray.stages.ed import link_mentions_scored
     mentions = pd.DataFrame({

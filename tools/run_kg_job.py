@@ -34,9 +34,10 @@ def main():
                          '(url, warc_ts, html, text, lang)')
     ap.add_argument('--root', required=True,
                     help='checkpoint + output root (resume target)')
-    ap.add_argument('--linking', default='broadcast',
-                    choices=['broadcast', 'join', 'scored'],
-                    help="'join' is the 10^12-row path (no driver-side dim)")
+    ap.add_argument('--linking', default='join',
+                    choices=['join', 'scored'],
+                    help="'join': alias linking in one norm_surface exchange; "
+                         "'scored': the entity-disambiguation stack")
     ap.add_argument('--num-cpus', type=int, default=None,
                     help='local fallback only; ignored under a cluster')
     args = ap.parse_args()

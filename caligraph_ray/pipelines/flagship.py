@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 
 from ..config import (MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
                       PATH_THRESHOLD)
+from ..stages.alias import link_mentions_join
 from ..stages.canonicalize import canonicalize
 from ..stages.triples import TRIPLES_SCHEMA, materialize_triples
 
@@ -145,7 +146,6 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     genuinely needs pinned are materialized: 02_categories is a stage only
     under a hook (otherwise a lazy view the sink reads), mentions stays a
     lazy filter view, and assembled triples stream into the sink."""
-    from ..stages.alias import link_mentions_join
     from ..stages.html_extract import parse_pages
     if canon != 'join':
         raise ValueError(

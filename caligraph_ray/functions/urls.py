@@ -14,6 +14,8 @@ from __future__ import annotations
 from typing import List
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
+import pyarrow.compute as pc
+
 _TRACKING_KEYS = {'fbclid', 'gclid', 'ref'}
 _DEFAULT_PORTS = {'http': 80, 'https': 443}
 
@@ -70,3 +72,11 @@ def registered_domain(host: str) -> str:
 
 def canonicalize_batch(urls: List[str]) -> List[str]:
     return [canonicalize_url(u) for u in urls]
+
+
+def page_titles(urls):
+    """URL column (Arrow array or chunked array) → page-title column: the
+    last path segment with ``_`` read as a space, i.e.
+    ``url.rsplit('/', 1)[-1].replace('_', ' ')`` per row, vectorized."""
+    return pc.replace_substring(pc.replace_substring_regex(urls, r'(?s)^.*/', ''),
+                                '_', ' ')

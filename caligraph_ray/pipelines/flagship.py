@@ -23,6 +23,7 @@ that is five serial streaming executions on the join path.
 
 from __future__ import annotations
 
+import shutil
 from typing import Optional
 
 import pandas as pd
@@ -31,9 +32,11 @@ import pyarrow.compute as pc
 
 from ..config import (MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
                       PATH_THRESHOLD)
+from ..functions.urls import page_titles
 from ..stages.alias import link_mentions_join
 from ..stages.canonicalize import canonicalize
 from ..stages.triples import TRIPLES_SCHEMA, materialize_triples
+from .full_kg import kg_streams
 
 
 def _mentions_cats_batch(t: pa.Table) -> pa.Table:
@@ -126,8 +129,14 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
                  concurrency: Optional[int] = None, linking: str = 'join',
                  redirects_ds=None, canon: str = 'join',
                  markup: str = 'html', embedder_factory=None,
-                 reranker_factory=None, stage_hook=None):
+                 reranker_factory=None, stage_hook=None,
+                 categories_ds=None, facts_ds=None):
     """pages Dataset (F1 schema) → deduped, sorted triples Dataset.
+
+    ``categories_ds`` (cat_name, parent_cat, member_url) and ``facts_ds``
+    (subj, pred, obj, is_literal) are the full KG's companion tables: when
+    either is given, the taxonomy, Cat2Ax, Cali2Ax and listing-rule
+    streams of ``full_kg.kg_streams`` join the raw triples before the sink.
 
     ``linking``: 'join' (one norm_surface exchange; each surface bucket
     counts, argmaxes and links its own rows, nothing driver-side) or
@@ -145,7 +154,11 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     re-implementation. Without a hook, only the stages the streaming plan
     genuinely needs pinned are materialized: 02_categories is a stage only
     under a hook (otherwise a lazy view the sink reads), mentions stays a
-    lazy filter view, and assembled triples stream into the sink."""
+    lazy filter view, and assembled triples stream into the sink.
+
+    A run writes its own sink under ``out_dir``, replacing any earlier one;
+    only a hook that resumes 05_triples (``run_flagship_checkpointed``)
+    serves the finished sink of an earlier run."""
     from ..stages.html_extract import parse_pages
     if canon != 'join':
         raise ValueError(
@@ -210,10 +223,19 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
 
     all_triples = _assemble_triples(linked, cats, me_threshold, mm_threshold,
                                     path_threshold)
-    if stage_hook is not None:
-        # default path streams the assembled triples straight into the
-        # sink; under a hook they persist as their own resumable stage
-        all_triples = run('05_triples', lambda: all_triples)
+    for stream in kg_streams(linked, categories_ds, facts_ds):
+        all_triples = all_triples.union(stream)
+
+    def triples():
+        # these triples replace whatever an earlier run left in the sink
+        # (materialize_triples reuses any sink that carries _SUCCESS)
+        if out_dir:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        return all_triples
+    # default path streams the assembled triples straight into the sink;
+    # under a hook they persist as their own resumable stage
+    all_triples = run('05_triples', triples) if stage_hook is not None \
+        else triples()
     return materialize_triples(all_triples, out_dir=out_dir)
 
 
@@ -223,7 +245,7 @@ def run_flagship_checkpointed(pages_ds, root: str,
                               path_threshold: float = PATH_THRESHOLD,
                               linking: str = 'join',
                               redirects_ds=None, markup: str = 'html',
-                              **kw):
+                              categories_ds=None, facts_ds=None, **kw):
     """Checkpointed flagship: ``run_flagship`` with a ``stage_hook`` that
     persists every wide stage as Parquet + _LINEAGE.json + _SUCCESS under
     ``root`` — the SAME code path as the direct run (the data_prep.py
@@ -233,12 +255,14 @@ def run_flagship_checkpointed(pages_ds, root: str,
     fingerprints. The final triples land hash-partitioned under
     ``root``/triples_out (idempotent sink: wipe-or-skip via _SUCCESS);
     a run that rebuilds 05_triples drops the old sink first, so the sink
-    never serves triples of an earlier build. Drop accounting (pages the
+    never serves triples of an earlier build. The companion tables of the
+    full KG (``categories_ds``, ``facts_ds``) enter 05_triples'
+    fingerprint by row count, so adding, removing or changing one
+    rebuilds that stage and the sink. Drop accounting (pages the
     parser rejected) rides the 01_combined stage as kind='drop' marker rows
     and is stamped into its lineage."""
     import json as _json
     import os
-    import shutil
 
     from ..state.checkpoint import read_lineage, run_stage
 
@@ -251,18 +275,15 @@ def run_flagship_checkpointed(pages_ds, root: str,
     fp_link = fp_in | {'linking': linking}
     fp_cfg = fp_link | {'me': me_threshold, 'mm': mm_threshold,
                         'path': path_threshold}
+    fp_cfg |= {name: int(ds.count()) for name, ds in
+               (('categories', categories_ds), ('facts', facts_ds))
+               if ds is not None}
     fps = {'01_combined': fp_in, '02_categories': fp_in,
            '03_mentions': fp_in, '04_linked': fp_link,
            '05_triples': fp_cfg}
     out_dir = os.path.join(root, 'triples_out')
 
     def hook(name, build):
-        if name == '05_triples':
-            inner = build
-
-            def build():  # the sink holds the previous build's triples
-                shutil.rmtree(out_dir, ignore_errors=True)
-                return inner()
         out = run_stage(root, name, build, fingerprint=fps[name])
         if name == '01_combined':
             lin = read_lineage(root, name)
@@ -281,7 +302,8 @@ def run_flagship_checkpointed(pages_ds, root: str,
                         me_threshold=me_threshold, mm_threshold=mm_threshold,
                         path_threshold=path_threshold, linking=linking,
                         redirects_ds=redirects_ds, markup=markup,
-                        stage_hook=hook, **kw)
+                        stage_hook=hook, categories_ds=categories_ds,
+                        facts_ds=facts_ds, **kw)
 
 
 _SUBJECT_SCHEMA = pa.schema([('mention_uid', pa.int64()), ('url', pa.string()),
@@ -297,10 +319,8 @@ def _subject_triples(t: pa.Table) -> pa.Table:
     name = [e if e is not None else f'NE_{int(c) & 0x7FFFFFFFFFFFFFFF:x}'
             for e, c in zip(t.column('entity').to_pylist(),
                             t.column('cluster').to_pylist())]
-    page = t.column('url').to_pandas().str.rsplit('/', n=1).str[-1] \
-        .str.replace('_', ' ', regex=False)
     obj = np.empty(2 * n, dtype=object)
-    obj[0::2] = page.to_numpy()
+    obj[0::2] = page_titles(t.column('url')).to_numpy()
     obj[1::2] = t.column('label').to_numpy(zero_copy_only=False)
     pred = np.empty(2 * n, dtype=object)
     pred[0::2] = 'mentionedIn'
@@ -334,14 +354,12 @@ def _assemble_triples(linked, cats, me_threshold, mm_threshold, path_threshold):
 
 def _category_triples(cats):
     def category_triples(batch: pa.Table) -> pa.Table:
-        urls = batch.column('url').to_pylist()
-        cats_l = batch.column('cat_name').to_pylist()
-        subj = [u.rsplit('/', 1)[-1].replace('_', ' ') for u in urls]
+        n = batch.num_rows
         return pa.Table.from_pydict({
-            'subj': subj,
-            'pred': ['subject'] * len(subj),
-            'obj': ['Category:' + c for c in cats_l],
-            'is_literal': [False] * len(subj),
+            'subj': page_titles(batch.column('url')),
+            'pred': ['subject'] * n,
+            'obj': ['Category:' + c for c in batch.column('cat_name').to_pylist()],
+            'is_literal': [False] * n,
         }, schema=TRIPLES_SCHEMA)
 
     return cats.map_batches(category_triples, batch_format='pyarrow')

@@ -1,58 +1,34 @@
-"""Full KG construction: flagship mention pipeline + Cat2Ax axiom induction
-+ listing-rule mining, all triple streams unioned into the sorted,
-hash-partitioned sink (the complete analogue of the reference's
-extract_and_serialize, impl/caligraph/__init__.py:11-29).
+"""The full KG's extra triple streams: taxonomy, Cat2Ax, Cali2Ax and
+listing rules over the linked mentions (the layers the reference's
+extract_and_serialize, impl/caligraph/__init__.py:11-29, runs on top of
+its parse and link pass).
+
+``run_flagship(pages, categories_ds=..., facts_ds=...)`` builds the full KG:
+it parses, links and canonicalizes as for any run, then unions the streams
+``kg_streams`` returns into its raw triples before the one sink.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..stages.alias import link_mentions_join
+from ..functions.urls import page_titles
 from ..stages.cat2ax import axioms_to_triples, extract_axioms
-from ..stages.html_extract import parse_pages
 from ..stages.listing_rules import (apply_rules, build_context,
                                     mine_relation_rules, mine_type_rules)
-from ..stages.triples import materialize_triples
-from .flagship import _assemble_triples
 
 
-def _url_title(url: str) -> str:
-    return url.rsplit('/', 1)[-1].replace('_', ' ')
-
-
-def run_full_kg(pages_ds, categories_ds=None, facts_ds=None,
-                out_dir: Optional[str] = None,
-                me_threshold: float = 0.95, mm_threshold: float = 0.8,
-                path_threshold: float = 0.75,
-                rule_mean_threshold: float = 0.75, rule_min_pages: int = 2):
-    """pages (+ optional category hierarchy & existing-KB facts) → triples.
+def kg_streams(linked, categories_ds, facts_ds) -> list:
+    """Linked mention rows + the companion tables → the extra raw triple
+    Datasets of the full KG (none when both companions are absent).
 
     categories_ds: (cat_name, parent_cat, member_url) — the F2 companion.
     facts_ds: (subj, pred, obj, is_literal) — the F5 companion.
     """
-    # fuse the parse into the slim (mentions ∪ cats) projection — the fat
-    # parsed item rows never hit the object store (see run_flagship; this
-    # removed the non-scaling store floor on the end-to-end legs)
-    from .flagship import _cats_of, _mentions_cats_batch, _mentions_of
-    combined = parse_pages(pages_ds).map_batches(
-        _mentions_cats_batch, batch_format='pyarrow').materialize()
-    cats = combined.map_batches(_cats_of, batch_format='pyarrow').materialize()
-    mentions = combined.map_batches(_mentions_of,
-                                    batch_format='pyarrow').materialize()
-    del combined
-    # one norm_surface exchange links each surface bucket, as in
-    # run_flagship (nothing driver-sized leaves the cluster)
-    linked = link_mentions_join(mentions).materialize()
-
-    streams = [_assemble_triples(linked, cats, me_threshold, mm_threshold,
-                                 path_threshold)]
-
+    streams = []
     # taxonomy layer: assemble the class hierarchy from (cat, parent) edges
     # (driver-side over the small edge dim — cycle resolution + node merge +
     # unconnected attachment), then emit rdfs:subClassOf for the hierarchy
@@ -68,11 +44,10 @@ def run_full_kg(pages_ds, categories_ds=None, facts_ds=None,
         hierarchy = build_hierarchy(edges)
         streams.append(subclass_triples(hierarchy))
 
-        def to_membership(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({'cat_name': batch['cat_name'],
-                                 'member': [_url_title(u) for u in batch['member_url']]})
-
-        membership = categories_ds.map_batches(to_membership, batch_format='pandas')
+        membership = categories_ds.map_batches(
+            lambda t: pa.table({'cat_name': t.column('cat_name'),
+                                'member': page_titles(t.column('member_url'))}),
+            batch_format='pyarrow')
         streams.append(member_type_triples(membership, hierarchy))
 
         # Cat2Ax over the category hierarchy + membership (member = page title)
@@ -118,12 +93,9 @@ def run_full_kg(pages_ds, categories_ds=None, facts_ds=None,
             ['url', 'page_id', 'topsection', 'section', 'entity'])
         ctx = build_context(subj_ctx, facts_ds=facts_ds).materialize()
         from ..stages.relational import collect_pandas
-        trules = collect_pandas(mine_type_rules(ctx, rule_mean_threshold, rule_min_pages))
-        rrules = collect_pandas(mine_relation_rules(ctx, rule_mean_threshold, rule_min_pages))
+        # the miners' own thresholds (mean confidence 0.75, 2 pages)
+        trules = collect_pandas(mine_type_rules(ctx))
+        rrules = collect_pandas(mine_relation_rules(ctx))
         if len(trules) or len(rrules):
             streams.append(apply_rules(ctx, trules, rrules))
-
-    all_triples = streams[0]
-    for s in streams[1:]:
-        all_triples = all_triples.union(s)
-    return materialize_triples(all_triples, out_dir=out_dir)
+    return streams

@@ -2360,8 +2360,8 @@ GROUP BY tok
 
 @query()
 def q_flagship_triples(sf_dir: str):
-    """Full KG pipeline over the testdata documents: the one query without a
-    SQL oracle (rows-only check). It is gated by the single-process oracle
+    """Flagship KG pipeline over the testdata documents: the one query
+    without a SQL oracle (rows-only check). It is gated by the single-process oracle
     in tests/oracle_kg.py; its P/R goldens live in tests/test_flagship.py."""
     return run_flagship_on_documents(sf_dir)
 

@@ -128,3 +128,40 @@ def oracle_triples(pages: List[Tuple[str, bytes]],
         page = url.rsplit('/', 1)[-1].replace('_', ' ')
         triples.add((page, 'subject', 'Category:' + cat, False))
     return triples
+
+
+def oracle_taxonomy_triples(categories: List[Tuple[str, str, str]]
+                            ) -> Set[Tuple[str, str, str, bool]]:
+    """category rows [(member_url, cat_name, parent_cat)] → expected
+    rdfs:subClassOf and rdf:type triples of the full KG's taxonomy layer.
+
+    The hierarchy is assembled from the distinct (child, parent) edges in
+    the order ``taxonomy.build_hierarchy`` uses; the type closure walks
+    ``Hierarchy.parents`` upward per node, so it does not share
+    ``Hierarchy.closure``'s topological pass."""
+    from caligraph_ray.stages.taxonomy import ROOT, Hierarchy
+    h = Hierarchy()
+    for child, parent in sorted({(c, p) for _, c, p in categories}):
+        h.add_edge(parent, child)
+    h.resolve_cycles()
+    h.merge_nodes()
+    h.append_unconnected()
+
+    out = {(c, 'rdfs:subClassOf', p, False)
+           for c in h.nodes for p in h.parents(c) if p != ROOT}
+    node_of = {part: n for n in h.content_nodes for part in h.parts(n)}
+
+    def types(node: str) -> Set[str]:
+        seen, stack = {node}, [node]
+        while stack:
+            for p in h.parents(stack.pop()):
+                if p != ROOT and p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return seen
+
+    for url, cat, _ in categories:
+        if cat in node_of:
+            member = url.rsplit('/', 1)[-1].replace('_', ' ')
+            out |= {(member, 'rdf:type', t, False) for t in types(node_of[cat])}
+    return out

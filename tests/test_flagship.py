@@ -111,3 +111,23 @@ def test_flagship_redirects_direct_matches_checkpointed(
                            .select_columns(['kind']))['kind'].value_counts()
     assert rows['02_categories'] == kinds['cat'] == 112
     assert rows['03_mentions'] == kinds['m'] == 562
+
+
+def test_direct_run_replaces_an_earlier_sink(ray_session, tmp_path):
+    """A direct run into a directory that holds a finished sink from an
+    earlier run returns, and leaves on disk, its own triples; only a
+    checkpointed run may serve a sink it did not write."""
+    import json
+    import os
+
+    import ray.data as rd
+    out = str(tmp_path / 'sink')
+    first = _run(generate_pages_table(40, seed=1), out_dir=out)
+    table = generate_pages_table(80, seed=2)
+    want = _run(table)
+    assert want != first
+    assert _run(table, out_dir=out) == want
+    with open(os.path.join(out, '_PARTITIONS.json')) as f:
+        assert json.load(f)['total_rows'] == len(want)
+    assert {(r['subj'], r['pred'], r['obj'], r['is_literal'])
+            for r in rd.read_parquet(out).take_all()} == want

@@ -51,14 +51,7 @@ FUNCTIONAL_PRED_THRESHOLD = 0.95
 DOMAIN_THRESHOLD = 0.96
 RANGE_THRESHOLD = 0.77
 
-# --- broadcast-dim budget ---
-# distinct-surface-name cardinality above which the scored ED path must NOT
-# collect the entity-name dim to the driver (flagship linking='scored'); the
-# linker then runs against object-store name shards instead (ed.py
-# link_mentions_scored_sharded). Env-overridable so tests force the sharded
-# regime at toy size.
 import os as _os
-SCORED_NAME_LIMIT = int(_os.environ.get('SCORED_NAME_LIMIT', 2_000_000))
 
 # SemDeDup megacluster guard (dedup.semdedup_keep): a cluster larger than
 # this many rows is split into ceil(size/cap) deterministic id-hash chunks
@@ -85,8 +78,8 @@ NGRAM_JACCARD_THRESHOLD = 0.8
 EMBEDDING_DUP_COSINE = 0.95
 # exact O(N²) embedding near-dup runs K(K+1)/2 block-pair tasks; above this
 # many normalized blocks the auto path routes to the sub-quadratic LSH
-# variant (same auto-gate pattern as SCORED_NAME_LIMIT). 64 blocks ×
-# 65536 rows ≈ 4M vectors / 2080 tasks — past that, exact is a scale-killer.
+# variant. 64 blocks × 65536 rows ≈ 4M vectors / 2080 tasks — past that,
+# exact is a scale-killer.
 EMBEDDING_EXACT_MAX_BLOCKS = 64
 # per-ROW page-parse wall-clock budget (reference: 60 s SIGALRM,
 # page_parser.py:287-301); a page over budget becomes a kind='drop' row.

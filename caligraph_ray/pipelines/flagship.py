@@ -1,15 +1,15 @@
 """Flagship KG-construction pipeline (SURVEY.md §7.2 end-to-end slice).
 
 read pages → map_batches(parse: text + listings + mentions) → flat item rows
-→ explode mentions → link (one norm_surface exchange that links each
-surface bucket, or the scored ED stack as warm stateless tasks) →
+→ explode mentions → link in one norm_surface exchange (its buckets link
+their rows, or add ``surface_rep`` to the scored ED stack's) →
 canonicalization: alignment edges + connected components, then one
 component-keyed exchange that splits each component NASTyLinker style and
 emits its subject mentions' triples → dedup/sort → hash-partitioned
 Parquet.
 
 Exercises every execution pattern of the north star: stateless Arrow
-map_batches, broadcast small-side join (the scored linker's entity index),
+map_batches, broadcast small sides (the scored linker's name shards),
 per-process model caches, keyed exchanges, CC merge and a
 sort-materialize sink.
 
@@ -17,8 +17,8 @@ A direct run (no ``stage_hook``) materializes only what a later step
 reads more than once or needs as a barrier: the slim union, the linked
 rows and each exchange's input. The mention and category rows stay lazy
 views over the slim union, and the alignment edges are computed per block
-of their source rows, never materialized. At the benchmark's 1,000 pages
-that is five serial streaming executions on the join path.
+of their source rows, never materialized: on the 80-page test corpus,
+four serial streaming executions (join) or five (scored).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 from ..config import (MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
                       PATH_THRESHOLD)
 from ..functions.urls import page_titles
-from ..stages.alias import link_mentions_join
+from ..stages.alias import link_mentions_join, with_surface_rep
 from ..stages.canonicalize import canonicalize
 from ..stages.triples import TRIPLES_SCHEMA, materialize_triples
 from .full_kg import kg_streams
@@ -89,37 +89,21 @@ def _cats_of(t: pa.Table) -> pa.Table:
 
 
 def _scored_linked(mentions, embedder_factory=None, reranker_factory=None):
-    """Scored-ED linking with a MEASURED entity-name-dim budget: the
-    distinct non-empty wikilink-target names are computed distributed
-    (two-phase distinct — one partial-combine exchange); only when the
-    measured cardinality fits config.SCORED_NAME_LIMIT is the dim collected
-    and broadcast (the fast regime). Over budget, linking runs against the
-    name shards in the object store (ed.link_mentions_scored_sharded) —
-    nothing dim-sized ever touches the driver, and the emitted links are
-    bit-identical across regimes (pinned by test_flagship's forced-low-gate
-    comparison). Both regimes read only the ``name`` column of the
-    materialized distinct names."""
-    from .. import config
-    from ..stages.ed import link_mentions_scored, link_mentions_scored_sharded
-    from ..stages.relational import arrow_filter, collect_pandas, two_phase_count
+    """Scored-ED linking against the distinct non-empty wikilink-target
+    names, kept in the object store as shards (two-phase distinct, then
+    ed.link_mentions_scored_sharded). The scorer fuses into the keying
+    map of ``alias.with_surface_rep``'s exchange: it runs once per mention
+    block before the shuffle, never in a reducer."""
+    from ..stages.ed import link_mentions_scored_sharded
+    from ..stages.relational import arrow_filter, two_phase_count
 
     named = arrow_filter(
         mentions, lambda t: pc.and_(pc.is_valid(t['name']),
                                     pc.not_equal(t['name'], pa.scalar(''))))
-    names_ds = two_phase_count(named.select_columns(['name']), ['name']) \
-        .materialize()
-    if names_ds.count() <= config.SCORED_NAME_LIMIT:
-        return link_mentions_scored(
-            mentions, sorted(collect_pandas(names_ds)['name']),
-            embedder_factory=embedder_factory,
-            reranker_factory=reranker_factory)
-    import logging
-    logging.getLogger('caligraph_ray.flagship').warning(
-        'scored-ED entity-name dim over budget (> %d); linking against '
-        'object-store name shards', config.SCORED_NAME_LIMIT)
-    return link_mentions_scored_sharded(
+    names_ds = two_phase_count(named.select_columns(['name']), ['name'])
+    return with_surface_rep(link_mentions_scored_sharded(
         mentions, names_ds, embedder_factory=embedder_factory,
-        reranker_factory=reranker_factory)
+        reranker_factory=reranker_factory))
 
 
 def run_flagship(pages_ds, out_dir: Optional[str] = None,
@@ -142,9 +126,11 @@ def run_flagship(pages_ds, out_dir: Optional[str] = None,
     counts, argmaxes and links its own rows, nothing driver-side) or
     'scored' (the full ED stack: bi-encoder embed → candidate top-k →
     cross-encoder rerank, deterministic stand-ins behind the real model
-    interfaces, run as warm stateless tasks — stages/ed.py). Both
-    canonicalize through ``canonicalize()``'s component exchange;
-    ``canon`` accepts only 'join', which names it.
+    interfaces, run as warm stateless tasks — stages/ed.py — in front of
+    a norm_surface exchange that adds ``surface_rep``). Both emit
+    (entity, link_score, surface_rep) and canonicalize through
+    ``canonicalize()``'s component exchange; ``canon`` accepts only
+    'join', which names it.
 
     ``stage_hook(name, build) -> Dataset`` intercepts every wide stage
     boundary (01_combined parse+slim-union, 02_categories, 03_mentions,
@@ -272,7 +258,8 @@ def run_flagship_checkpointed(pages_ds, root: str,
     n_pages = pages_ds.count()
     fp_in = {'n_pages': int(n_pages), 'markup': markup,
              'redirects': redirects_ds is not None}
-    fp_link = fp_in | {'linking': linking}
+    # 'surface_rep': a scored 04_linked written without it rebuilds once
+    fp_link = fp_in | {'linking': linking, 'surface_rep': True}
     fp_cfg = fp_link | {'me': me_threshold, 'mm': mm_threshold,
                         'path': path_threshold}
     fp_cfg |= {name: int(ds.count()) for name, ds in

@@ -105,11 +105,13 @@ def make_trainable_matcher(name: str, **params):
 
 
 def _register_builtin():
+    from ..stages.alias import edge_rows
     from ..stages.canonicalize import canonicalize, edin_clusters
 
+    # linked rows of any linker, with or without surface_rep
     @register_matcher('nastylinker')
     def _nasty(linked, **kw):
-        return canonicalize(linked, **kw)
+        return canonicalize(edge_rows(linked), **kw)
 
     @register_matcher('edin')
     def _edin(linked, **kw):

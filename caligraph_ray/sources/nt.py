@@ -107,7 +107,10 @@ def read_nt(paths) -> 'ray.data.Dataset':
 def write_nt(triples_ds, out_dir: str,
              base_uri: str = 'http://caligraph.org/resource/'):
     """Triples Dataset → directory of .csv part files each holding raw NT
-    lines (single unquoted column, one file per block — resumable layout)."""
+    lines (single unquoted column, one file per block — resumable layout)
+    that replace whatever ``out_dir`` held."""
+    import shutil
+
     from ray.data.datasource import BlockBasedFileDatasink
     from ..stages.triples import to_nt_lines
 
@@ -123,5 +126,6 @@ def write_nt(triples_ds, out_dir: str,
 
     lines = triples_ds.map_batches(lambda b: to_nt_lines(b, base_uri),
                                    batch_format='pyarrow')
+    shutil.rmtree(out_dir, ignore_errors=True)
     lines.write_datasink(_NTSink(out_dir))
     return out_dir

@@ -14,6 +14,10 @@ form with no index object at all — one exchange on norm_surface, and each
 bucket counts, takes the argmax and links its own rows
 (``link_surface_bucket``), emitting the surface representative the
 alignment edges need on the way.
+
+Scored rows take ``surface_rep`` from the same exchange, linking nothing
+(``with_surface_rep``), so both linkers emit one contract; no other module
+calls ``link_surface_bucket``.
 """
 
 from __future__ import annotations
@@ -225,3 +229,19 @@ def link_mentions_join(mentions_ds):
     return bucketed_map(mentions_ds, ['norm_surface'], link_surface_bucket,
                         batch_format='pyarrow')
 
+
+def with_surface_rep(linked_ds):
+    """Linked rows → + ``surface_rep``, in one norm_surface exchange that
+    links nothing. A map in front of it (the scored linker) fuses into
+    its keying map, so it runs once per block before the shuffle."""
+    from .relational import bucketed_map
+    return bucketed_map(linked_ds, ['norm_surface'],
+                        lambda t: link_surface_bucket(t, link=False),
+                        batch_format='pyarrow')
+
+
+def edge_rows(linked_ds):
+    """Linked rows of any origin → the four columns the alignment edges
+    read + ``surface_rep`` (``edin_clusters``, the nastylinker matcher)."""
+    return with_surface_rep(linked_ds.select_columns(
+        ['mention_uid', 'norm_surface', 'entity', 'link_score']))

@@ -10,10 +10,11 @@ Graph model (NASTyLinker, reference greedy_clustering.py:26-94):
     the mentions, with the components of the clique, so a head surface
     ('United States') never builds a quadratic group.
 
-The edges are a per-row function of linked rows carrying
-``surface_rep``, so no edge Dataset is materialized: one task per row
-block projects the block to its raw edge count and its distinct
-(src, dst) pairs. Connected components read the counts first:
+Both linkers emit ``surface_rep`` in their norm_surface exchange, so the
+edges are a per-row function of the linked rows and no edge Dataset is
+materialized: one task per row block projects the block to its raw edge
+count and its distinct (src, dst) pairs. Connected components read the
+counts first:
 while their sum is within the driver limit the pairs go to driver
 union-find. Above it no pair array reaches the driver; the distinct pairs,
 left where their tasks stored them, run as repeated block-local union-find
@@ -98,43 +99,22 @@ def build_alignment_edges(linked_mentions_ds,
                           me_threshold: float = MENTION_ENTITY_THRESHOLD,
                           mm_threshold: float = MENTION_MENTION_THRESHOLD,
                           mm_score: float = MM_SCORE):
-    """linked mention rows → undirected edge Dataset (src, dst, weight,
-    ent); see ``_edge_source`` for where the rows come from."""
-    rows, project = _edge_source(linked_mentions_ds, me_threshold,
-                                 mm_threshold, mm_score)
-    return rows.map_batches(project, batch_format='pyarrow', batch_size=None)
+    """linked mention rows carrying ``surface_rep`` → undirected edge
+    Dataset (src, dst, weight, ent), one task per row block."""
+    return linked_mentions_ds.map_batches(
+        _edge_projection(me_threshold, mm_threshold, mm_score),
+        batch_format='pyarrow', batch_size=None)
 
 
-def _edge_source(linked_mentions_ds, me_threshold: float, mm_threshold: float,
-                 mm_score: float = MM_SCORE):
-    """linked mention rows → ``(rows, project)``: the alignment edges are
-    a per-row function of ``rows``, and ``project(pa.Table)`` gives a
-    block's edges.
-
-    Rows carrying ``surface_rep`` (``link_mentions_join`` emits it) give
-    both edge kinds per row with no exchange. Rows without it get it from
-    ``alias.link_surface_bucket`` in one ``bucketed_map`` that moves only
-    the four columns the edges read. A head surface stays one bucket, as
-    it must: its star puts every mention of it into one component, and the
-    component exchange holds that component whole anyway. A schema unknown
-    without executing counts as no ``surface_rep``."""
-    def project(stars: bool):
-        return functools.partial(_alignment_edges_batch,
-                                 me_threshold=me_threshold,
-                                 mm_score=mm_score if stars else None)
-
-    if mm_score <= mm_threshold:
-        return linked_mentions_ds, project(False)
-    schema = linked_mentions_ds.schema(fetch_if_missing=False)
-    if schema is None or 'surface_rep' not in schema.names:
-        from .alias import link_surface_bucket
-        from .relational import bucketed_map
-        linked_mentions_ds = bucketed_map(
-            linked_mentions_ds.select_columns(
-                ['mention_uid', 'norm_surface', 'entity', 'link_score']),
-            ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
-            batch_format='pyarrow')
-    return linked_mentions_ds, project(True)
+def _edge_projection(me_threshold: float, mm_threshold: float,
+                     mm_score: float = MM_SCORE):
+    """``project(pa.Table)``: a block of linked rows → its alignment edges.
+    Both linkers emit ``surface_rep`` (``alias.with_surface_rep``), so the
+    edges are a per-row function of the linked rows, with no exchange;
+    star edges are drawn only when ``mm_score`` beats ``mm_threshold``."""
+    return functools.partial(
+        _alignment_edges_batch, me_threshold=me_threshold,
+        mm_score=mm_score if mm_score > mm_threshold else None)
 
 
 # --- connected components --------------------------------------------------
@@ -499,11 +479,12 @@ def edin_clusters(linked_mentions_ds,
     mention-mention CC only; a cluster keeps an entity iff that entity is
     the top link for ≥ cluster_threshold of its mentions. Returns
     (node, cluster, entity|None) rows."""
+    from .alias import edge_rows
     from .relational import bucketed_map
 
     # mention-mention components (no entity nodes in the graph)
-    mm_only = build_alignment_edges(linked_mentions_ds, me_threshold=2.0,
-                                    mm_threshold=mm_threshold)
+    mm_only = build_alignment_edges(edge_rows(linked_mentions_ds),
+                                    me_threshold=2.0, mm_threshold=mm_threshold)
     labels_ref = ray.put(connected_components(mm_only))
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -551,11 +532,13 @@ def canonicalize(linked_mentions_ds,
     name its entity clusters from the edges' ``ent`` column. Only the CC
     node map reaches the driver; it is broadcast back once.
 
-    The edges are a per-row function of the linked rows (see
-    ``_edge_source``), so no edge Dataset is materialized: the rows are,
-    ``connected_components`` projects each row block to its edges where
-    it lives, and the exchange's keying map computes them again from the
-    same blocks, with exact-duplicate edge rows dropped.
+    The linked rows carry ``surface_rep``, whichever linker emitted them
+    (``alias.edge_rows`` gives it to rows that lack it), so the edges are a
+    per-row function of them and no edge Dataset is materialized: the rows
+    are, ``connected_components`` projects each row block to its edges
+    where it lives, and the exchange's one keying map computes them again
+    from the same blocks, with exact-duplicate edge rows dropped, next to
+    the block's carried rows.
 
     Without ``carried``: a Dataset (node:int64, cluster:int64,
     entity:string|null) over every alignment-graph node, where entity is
@@ -578,13 +561,9 @@ def canonicalize(linked_mentions_ds,
     from .relational import _coarse_key, bucket_exchange, default_coarse
 
     row_filter, carried_schema, emit = carried or (None, pa.schema([]), None)
-    src, project = _edge_source(linked_mentions_ds, me_threshold, mm_threshold)
-    # the carried rows ride the keying map of ``src`` when it is the rows
-    # themselves; otherwise (the ``link_surface_bucket`` exchange's four
-    # columns) they join it by a union
-    from_rows = carried is not None and src is linked_mentions_ds
-    src = src.materialize()  # CC and the exchange both read it
-    labels = connected_components(src, project=project)
+    project = _edge_projection(me_threshold, mm_threshold)
+    rows = linked_mentions_ds.materialize()  # CC and the exchange read it
+    labels = connected_components(rows, project=project)
     if not labels and carried is None:
         return rd.from_arrow(pa.Table.from_pydict(
             {'node': pa.array([], pa.int64()), 'cluster': pa.array([], pa.int64()),
@@ -608,21 +587,18 @@ def canonicalize(linked_mentions_ds,
             names=['_coarse', '_comp'] + lead.names + t.column_names
             + trail.names)
 
-    def key_edges(t: pa.Table) -> pa.Table:
-        return tag(_distinct_rows(project(t)), 'src', pa.schema([]),
-                   carried_schema)
+    def key_block(t: pa.Table) -> pa.Table:
+        """A block's distinct edges, then its carried rows."""
+        parts = [tag(_distinct_rows(project(t)), 'src', pa.schema([]),
+                     carried_schema)]
+        if carried is not None:
+            kept = row_filter(t).select(carried_schema.names) \
+                .cast(carried_schema)
+            parts.append(tag(kept, 'mention_uid', EDGE_SCHEMA, pa.schema([])))
+        return pa.concat_tables(parts)
 
-    def key_carried(t: pa.Table) -> pa.Table:
-        rows = row_filter(t).select(carried_schema.names).cast(carried_schema)
-        return tag(rows, 'mention_uid', EDGE_SCHEMA, pa.schema([]))
-
-    tagged = src.map_batches(
-        lambda t: pa.concat_tables([key_edges(t)] + (
-            [key_carried(t)] if from_rows else [])),
-        batch_format='pyarrow', batch_size=None)
-    if carried is not None and not from_rows:
-        tagged = tagged.union(linked_mentions_ds.map_batches(
-            key_carried, batch_format='pyarrow', batch_size=None))
+    tagged = rows.map_batches(key_block, batch_format='pyarrow',
+                              batch_size=None)
 
     def resolve(bucket: pa.Table) -> pa.Table:
         is_edge = pc.is_valid(bucket.column('src'))

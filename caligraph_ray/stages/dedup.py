@@ -435,8 +435,8 @@ def embedding_near_dup_pairs_auto(emb_ds, id_col: str = 'vec_id',
     """Volume-gated near-dup router — the default entry point: EXACT
     block-pair matmuls while the corpus fits ``exact_max_blocks`` normalized
     blocks (task count K(K+1)/2 stays bounded), the sub-quadratic LSH
-    variant above it. Mirrors the scored linker's SCORED_NAME_LIMIT
-    auto-gate so the quadratic path can never silently ride to 100 TB.
+    variant above it, so the quadratic path can never silently ride to
+    100 TB.
     The row count comes from dataset metadata (parquet row counts), not an
     extra execution. Routing is logged."""
     import logging

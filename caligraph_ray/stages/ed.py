@@ -516,12 +516,13 @@ def link_mentions_scored_sharded(mentions_ds, names_ds, k: int = 4,
                                  dim: int = 64, embedder_factory=None,
                                  reranker_factory=None,
                                  max_cached_shards: int = 8):
-    """``link_mentions_scored`` for an entity-name dim too large to collect
-    to the driver: the DISTINCT names stay in the object store as block
-    shards (``names_ds`` — one globally-distinct ``name`` column), and each
-    linker task streams its mention batch against the shards, merging
-    per-shard top-k into the exact global top-k, so every emitted link is
-    bit-identical to the broadcast variant (pinned by tests).
+    """``link_mentions_scored`` that never collects the entity-name dim
+    (the flagship's scored linker): the DISTINCT names stay in the object
+    store as block shards (``names_ds`` — one globally-distinct ``name``
+    column), and each linker task streams its mention batch against the
+    shards, merging per-shard top-k into the exact global top-k, so every
+    emitted link is bit-identical to the broadcast variant (pinned by
+    tests).
 
     Shard embeddings are PRECOMPUTED: one distributed pass embeds each
     name shard exactly once (one remote task per shard — an embed-call

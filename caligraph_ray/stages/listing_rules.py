@@ -79,6 +79,8 @@ def build_context(subjects_ds, page_type_fn=None, facts_ref=None, facts_ds=None)
         def ctx_joined(batch: pd.DataFrame) -> pd.DataFrame:
             titles = [u.rsplit('/', 1)[-1].replace('_', ' ') for u in batch['url']]
             out = batch[['url', 'page_id', 'topsection', 'section', 'entity']].copy()
+            # a bucket holding the facts side's null-padded rows gives object
+            out['page_id'] = out['page_id'].astype('int64')
             out['page_type'] = [page_type_fn(u) for u in batch['url']]
             out['page_entity'] = titles
             out['ent_types'] = [sorted(t) if isinstance(t, (list, np.ndarray)) else []

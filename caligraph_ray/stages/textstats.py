@@ -324,7 +324,7 @@ def bpe_token_counts(docs_ds, id_col: str = 'doc_id', text_col: str = 'text'):
 #: vocab rows above which unigram scoring stops broadcasting the token →
 #: logprob dim and switches to the token-keyed shuffle-join regime (web-
 #: scale vocab is unbounded; a driver collect + ray.put of O(10^9) tokens
-#: is the ceiling the gate removes). Same pattern as SCORED_NAME_LIMIT.
+#: is the ceiling the gate removes).
 UNIGRAM_BROADCAST_LIMIT = int(__import__('os').environ.get(
     'UNIGRAM_BROADCAST_LIMIT', 2_000_000))
 

@@ -56,18 +56,37 @@ def test_flagship_rejects_removed_canon_value():
 
 
 def test_flagship_scored_sharded_gate_matches_broadcast(
-        ray_session, small_corpus, monkeypatch):
-    """Forced-low-gate run of the scored-ED path: SCORED_NAME_LIMIT=0 makes
-    _scored_linked skip the driver collect and link against object-store
-    name shards (ed.link_mentions_scored_sharded). The per-shard top-k
-    merge must reproduce the broadcast candidate sets exactly, so the
-    emitted triple set is identical across regimes."""
-    from caligraph_ray import config
-    broadcast = _run(small_corpus, linking='scored')
-    monkeypatch.setattr(config, 'SCORED_NAME_LIMIT', 0)
-    sharded = _run(small_corpus, linking='scored')
-    assert sharded == broadcast
-    assert sharded, 'scored path produced no triples'
+        ray_session, small_corpus):
+    """The flagship links scored through ``link_mentions_scored_sharded``:
+    over the corpus's distinct names in four shards, its per-shard top-k
+    merge must reproduce the one-shard reference ``link_mentions_scored``
+    on every mention of ``small_corpus``. Every mention there carries a
+    wikilink, which short-cuts the top-k, so the targets are hidden."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+    from caligraph_ray.stages.alias import explode_mentions
+    from caligraph_ray.stages.ed import (link_mentions_scored,
+                                         link_mentions_scored_sharded)
+    from caligraph_ray.stages.html_extract import parse_items
+    from caligraph_ray.stages.relational import collect_pandas
+    mentions = explode_mentions(parse_items(
+        rd.from_arrow(small_corpus))).materialize()
+    names = sorted(n for n in set(collect_pandas(mentions)['name']) if n)
+    names_ds = rd.from_pandas(pd.DataFrame({'name': names})).repartition(4)
+    assert names_ds.materialize().num_blocks() >= 3
+    mentions = mentions.map_batches(
+        lambda t: t.set_column(t.schema.get_field_index('name'), 'name',
+                               pa.nulls(t.num_rows, pa.string())),
+        batch_format='pyarrow').materialize()
+
+    def links(ds):
+        t = collect_pandas(ds)
+        return sorted(zip(t['mention_uid'], t['entity'].fillna(''),
+                          t['link_score'].round(12)))
+    sharded = links(link_mentions_scored_sharded(mentions, names_ds))
+    assert sharded == links(link_mentions_scored(mentions, names))
+    assert any(e and s < 1.0 for _, e, s in sharded), sharded[:5]
 
 
 def test_flagship_on_documents_smoke(ray_session):

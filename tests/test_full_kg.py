@@ -8,6 +8,8 @@ flagship's triples, over the synthetic corpus.
   ``03_mentions`` into a sink equal to the direct run's.
 * Adding or removing a companion changes the ``05_triples`` fingerprint
   and rebuilds only that stage.
+* The listing-rule context ``kg_streams`` builds has one schema in every
+  block, with an int64 ``page_id``.
 """
 
 import os
@@ -140,3 +142,26 @@ def test_companions_enter_the_triples_fingerprint(ray_session, full_kg,
     assert len({fp_plain, fp_full, fp_cats}) == 3 and fp_again == fp_plain
     # the companions touch only the triples stage
     assert linked_stamp() == stamp
+
+
+def test_build_context_blocks_share_one_schema(ray_session, tables,
+                                               monkeypatch):
+    import ray
+    from caligraph_ray.pipelines import full_kg
+    from caligraph_ray.pipelines.flagship import run_flagship
+    built, real = [], full_kg.build_context
+
+    def recording(*a, **kw):
+        out = real(*a, **kw).materialize()
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(full_kg, 'build_context', recording)
+    pages, cats, facts = _inputs(tables)
+    run_flagship(pages, categories_ds=cats, facts_ds=facts)
+    blocks = ray.get([ref for bundle in built[0].iter_internal_ref_bundles()
+                      for ref, _ in bundle.blocks])
+    assert blocks
+    dtypes = {tuple(map(str, b.dtypes.items())) for b in blocks}
+    assert len(dtypes) == 1, dtypes
+    assert all(str(b['page_id'].dtype) == 'int64' for b in blocks)

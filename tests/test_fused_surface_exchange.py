@@ -1,5 +1,6 @@
-"""The join path links and builds its alignment edges inside one
-norm_surface exchange, and canonicalizes inside one component exchange.
+"""Both linkers emit ``surface_rep`` from one norm_surface exchange, the
+alignment edges need no further exchange, and canonicalization runs
+inside one component exchange.
 
 * Exchange counts, pinned with a counter around
   ``relational.bucket_exchange``: ``link_mentions_join`` makes one call,
@@ -9,27 +10,34 @@ norm_surface exchange, and canonicalizes inside one component exchange.
   sink dedup), with no ``shuffle_join`` and no ``Dataset.unique``.
 * Streaming-execution counts of whole flagship runs, pinned with
   ``state.executions.count_executions``: no mention count pass, no
-  categories barrier and no materialized alignment edges on a direct run.
+  categories barrier and no materialized alignment edges on a direct run,
+  and on a scored run no ``surface_rep`` exchange of its own.
 * The connected-components gate reads the raw edge counts of the
   per-block projection, and above ``driver_limit`` fetches no pair array.
 * Edge inputs for the surface kernel, in both exchange regimes: its
   (entity, link_score) equal a plain-Python Counter reference's, and
-  the component partition of its edges, with or without ``surface_rep``
-  on the rows, equals a plain-Python star construction's.
+  the component partition of its edges equals a plain-Python star
+  construction's.
 * Collecting a small exchange's output starts no execution: its blocks
   are the refs its reducer tasks returned.
 * A default checkpointed run resumed after ``03_mentions`` scans the
-  mentions once, in its linking exchange; resumed after ``04_linked`` it
-  reads linked rows that carry ``surface_rep`` and makes no
+  mentions once, in its linking exchange. Resumed after ``04_linked``, a
+  run of either linker reads linked rows that carry ``surface_rep`` and
+  makes no ``surface_rep`` exchange; a scored ``04_linked`` written
+  before scored rows carried it is rebuilt once.
+* Edge inputs for the component exchange, in both exchange regimes and
+  both connected-components regimes (union-find over the collected
+  pairs, and contraction forced by a ``driver_limit`` under the edge
+  count), from rows carrying a plain-Python ``surface_rep`` and from
+  rows without it, which take it from ``alias.with_surface_rep`` and
+  ``alias.edge_rows``: ``canonicalize()``'s node map and the join tail's
+  subject triples equal a plain-Python ``_UnionFind`` +
+  ``_split_component`` reference, and the join flagship equals
+  ``oracle_triples`` on pages with re-fetched URLs and one component
+  holding 90 % of the mentions.
+* The callers handed rows of any linker (``edin_clusters``, the
+  nastylinker matcher) move only the four edge columns through their
   ``surface_rep`` exchange.
-* Edge inputs for the component exchange, from rows with and without
-  ``surface_rep``, in both exchange regimes and both connected-components
-  regimes (driver union-find, and contraction forced by a
-  ``driver_limit`` under the edge count): ``canonicalize()``'s
-  node map and the join tail's subject triples equal a plain-Python
-  ``_UnionFind`` + ``_split_component`` reference, and the join flagship
-  equals ``oracle_triples`` on pages with re-fetched URLs and one
-  component holding 90 % of the mentions.
 """
 
 import pandas as pd
@@ -118,15 +126,18 @@ def test_join_flagship_makes_three_exchanges(ray_session, small_corpus,
 
 
 def test_scored_flagship_executions(ray_session, small_corpus, executions):
-    """Six streaming executions on ``small_corpus``: the parse, the
-    distinct-names exchange, the linking, the ``surface_rep`` exchange's
-    input, the component exchange's input and the sink dedup. The
-    distinct names keep their count column: selecting ``name`` after the
-    exchange would be an execution of its own."""
+    """Five streaming executions on ``small_corpus``: the parse, the
+    distinct-names exchange, the linking (the scorer fused into the
+    ``surface_rep`` exchange's keying map), the component exchange's
+    input and the sink dedup. The distinct names keep their count column:
+    selecting ``name`` after the exchange would be an execution of its
+    own."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship
     out = run_flagship(rd.from_arrow(small_corpus), linking='scored')
-    assert len(executions) == 6, executions
+    assert len(executions) == 5, executions
+    assert any('MapBatches(link)->MapBatches(add_bucket)' in e
+               for e in executions), executions
     assert out.count() > 0
 
 
@@ -157,25 +168,71 @@ def test_collecting_small_exchange_starts_no_execution(ray_session,
     assert sorted(zip(got['k'], got['cnt'])) == [(1, 1), (2, 2), (3, 1)]
 
 
-def test_resumed_join_run_makes_no_surface_rep_exchange(
-        ray_session, small_corpus, tmp_path, exchange_calls):
-    """A default checkpointed run resumed after ``04_linked`` loads the
-    linked rows as a lazy ``read_parquet``, whose schema is known without
-    executing and carries ``surface_rep``. The resumed run makes two
-    exchanges, the component exchange and the sink dedup: no
+@pytest.mark.parametrize('linking', ['join', 'scored'])
+def test_resumed_run_makes_no_surface_rep_exchange(
+        ray_session, small_corpus, tmp_path, exchange_calls, linking):
+    """A checkpointed run of either linker resumed after ``04_linked``
+    reads linked rows that carry ``surface_rep``. The resumed run makes
+    two exchanges, the component exchange and the sink dedup: no
     ``surface_rep`` exchange, and no linking exchange."""
     import shutil
 
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
     pages = rd.from_arrow(small_corpus)
-    first = _triple_set(run_flagship_checkpointed(pages, str(tmp_path)))
+    first = _triple_set(run_flagship_checkpointed(pages, str(tmp_path),
+                                                  linking=linking))
     shutil.rmtree(tmp_path / '05_triples')
     exchange_calls['bucket_exchange'] = 0
-    resumed = run_flagship_checkpointed(pages, str(tmp_path))
+    resumed = run_flagship_checkpointed(pages, str(tmp_path), linking=linking)
     assert exchange_calls == {'bucket_exchange': 2, 'shuffle_join': 0,
                               'unique': 0}
     assert _triple_set(resumed) == first
+
+
+def test_scored_linked_without_surface_rep_rebuilds_once(
+        ray_session, small_corpus, tmp_path):
+    """A scored ``04_linked`` written before scored rows carried
+    ``surface_rep``: its rows lack the column and its fingerprint lacks
+    the contract key. A resumed run rebuilds it, with the column, into
+    the same sink; the run after that resumes it."""
+    import json
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from caligraph_ray.pipelines.flagship import run_flagship_checkpointed
+    from caligraph_ray.state.checkpoint import fingerprint_of, read_lineage
+    root = str(tmp_path)
+    pages = rd.from_arrow(small_corpus)
+    first = _triple_set(run_flagship_checkpointed(pages, root,
+                                                  linking='scored'))
+    linked = tmp_path / '04_linked'
+    for part in linked.glob('part-*.parquet'):
+        pq.write_table(pq.read_table(part).drop_columns(['surface_rep']),
+                       part)
+    lineage = read_lineage(root, '04_linked')
+    lineage['fingerprint'] = fingerprint_of(
+        {'n_pages': small_corpus.num_rows, 'markup': 'html',
+         'redirects': False, 'linking': 'scored'})
+    (linked / '_LINEAGE.json').write_text(json.dumps(lineage))
+    for d in ('05_triples', 'triples_out'):
+        shutil.rmtree(tmp_path / d)
+
+    def rebuilt():
+        parts = sorted(linked.glob('part-*.parquet'))
+        return parts and all('surface_rep' in pq.read_schema(p).names
+                             for p in parts)
+
+    assert not rebuilt()
+    assert _triple_set(run_flagship_checkpointed(
+        pages, root, linking='scored')) == first
+    assert rebuilt()
+    stamp = os.path.getmtime(linked / '_SUCCESS')
+    assert _triple_set(run_flagship_checkpointed(
+        pages, root, linking='scored')) == first
+    assert os.path.getmtime(linked / '_SUCCESS') == stamp
 
 
 def test_resume_after_mentions_scans_them_once(
@@ -298,14 +355,9 @@ def test_surface_kernel_edge_inputs(ray_session, monkeypatch, case, regime):
     want = {u: sorted(v, key=repr) for u, v in want.items()}
     linked = link_mentions_join(ds).materialize()
     assert _links(collect_pandas(linked)) == want
-    expected = _star_partition(rows, want)
-    for edges in (build_alignment_edges(linked),
-                  # rows without surface_rep take the rep-only kernel
-                  build_alignment_edges(
-                      linked.drop_columns(['surface_rep']).materialize())):
-        e = collect_pandas(edges)
-        got = [] if e.empty else list(zip(e['src'], e['dst']))
-        assert _partition(got) == expected
+    e = collect_pandas(build_alignment_edges(linked))
+    got = [] if e.empty else list(zip(e['src'], e['dst']))
+    assert _partition(got) == _star_partition(rows, want)
 
 
 # --- component exchange edge inputs ------------------------------------------
@@ -451,12 +503,11 @@ def _triple_set(ds):
     return set(zip(t['subj'], t['pred'], t['obj'], t['is_literal'].astype(bool)))
 
 
-def _with_surface_rep(ds):
-    """Linked rows plus ``surface_rep``, as the join linker emits them."""
-    from caligraph_ray.stages.alias import link_surface_bucket
-    return relational.bucketed_map(
-        ds, ['norm_surface'], lambda t: link_surface_bucket(t, link=False),
-        batch_format='pyarrow').materialize()
+def _with_surface_rep(frame):
+    """Linked rows plus ``surface_rep``, each surface's min uid, computed
+    with pandas."""
+    return frame.assign(surface_rep=frame.groupby('norm_surface')[
+        'mention_uid'].transform('min'))
 
 
 # ids ``<case>-<exchange>-<cc>`` for rows without ``surface_rep``, with a
@@ -471,38 +522,43 @@ EDGE_INPUTS = [
 @pytest.mark.parametrize('case,exchange,cc,rep', EDGE_INPUTS)
 def test_component_exchange_edge_inputs(ray_session, monkeypatch, case,
                                         exchange, cc, rep):
-    """Rows with ``surface_rep`` are the edge source themselves, so the
-    carried subject rows ride the keying map; rows without it take the
-    four-column ``surface_rep`` exchange, and the carried rows join the
-    component exchange by a union."""
+    """Rows carrying ``surface_rep`` go to ``canonicalize()`` as they
+    are. Rows without it take it from the exchanges their callers use:
+    ``alias.edge_rows`` (the nastylinker matcher's four columns) for the
+    node map, ``alias.with_surface_rep`` (the scored flagship's whole
+    rows) for the subject triples."""
     import ray.data as rd
     from caligraph_ray.pipelines.flagship import _assemble_triples
+    from caligraph_ray.stages.alias import edge_rows, with_surface_rep
     rows = COMPONENT_CASES[case]
     want_nodes, want_triples = _reference(rows)
     contracted = _set_regimes(monkeypatch, exchange, cc)
-    ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
+    frame = _linked_frame(rows)
     if rep:
-        ds = _with_surface_rep(ds)
-        assert canon_mod._edge_source(ds, MENTION_ENTITY_THRESHOLD,
-                                      MENTION_MENTION_THRESHOLD)[0] is ds
+        ds = rd.from_pandas(_with_surface_rep(frame)).repartition(3) \
+            .materialize()
+        by_rows, by_edges = ds, ds
+    else:
+        ds = rd.from_pandas(frame).repartition(3).materialize()
+        by_rows, by_edges = with_surface_rep(ds), edge_rows(ds)
 
-    assert _node_map(canon_mod.canonicalize(ds)) == want_nodes
+    assert _node_map(canon_mod.canonicalize(by_edges)) == want_nodes
     assert _triple_set(_assemble_triples(
-        ds, _no_cats(), MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
-        PATH_THRESHOLD)) == want_triples
+        by_rows, _no_cats(), MENTION_ENTITY_THRESHOLD,
+        MENTION_MENTION_THRESHOLD, PATH_THRESHOLD)) == want_triples
     if cc == 'contract' and case != 'no_edges':
         assert len(contracted) == 2   # both calls contracted
 
 
 def test_surface_bucket_exchange_moves_only_edge_columns(ray_session,
                                                          monkeypatch):
-    """Rows without ``surface_rep`` get it from the ``link_surface_bucket``
-    exchange, which moves only the four columns the edges read, also when
-    subject rows are carried: those join the component exchange from the
-    linked rows themselves."""
+    """``edin_clusters`` and the nastylinker matcher take linked rows of
+    any linker, so each gives them ``surface_rep`` in an exchange that
+    moves only the four columns the edges read."""
     import ray.data as rd
-    from caligraph_ray.pipelines.flagship import _assemble_triples
-    rows = COMPONENT_CASES[sorted(COMPONENT_CASES)[0]]
+    from caligraph_ray.pipelines.registry import make_matcher
+    from caligraph_ray.stages.canonicalize import edin_clusters
+    rows = COMPONENT_CASES['two_entities_split']
     ds = rd.from_pandas(_linked_frame(rows)).repartition(3).materialize()
     moved, real = [], relational.bucketed_map
 
@@ -511,10 +567,12 @@ def test_surface_bucket_exchange_moves_only_edge_columns(ray_session,
         return real(ds_in, *a, **kw)
 
     monkeypatch.setattr(relational, 'bucketed_map', recording)
-    assert _triple_set(_assemble_triples(
-        ds, _no_cats(), MENTION_ENTITY_THRESHOLD, MENTION_MENTION_THRESHOLD,
-        PATH_THRESHOLD)) == _reference(rows)[1]
-    assert moved == [['mention_uid', 'norm_surface', 'entity', 'link_score']]
+    edge_columns = ['mention_uid', 'norm_surface', 'entity', 'link_score']
+    assert _node_map(make_matcher('nastylinker')(ds)) == _reference(rows)[0]
+    assert moved == [edge_columns]
+    moved.clear()
+    assert relational.collect_pandas(edin_clusters(ds)).shape[0] > 0
+    assert moved[0] == edge_columns
 
 
 def _refetch_pages():
@@ -571,9 +629,8 @@ def test_cc_gate_reads_raw_counts_and_fetches_no_pairs_above_it(
         'entity': pd.Series([r[2] for r in rows], dtype=object),
         'link_score': pd.Series([r[3] for r in rows], dtype='float64')})
     ).repartition(1).materialize()
-    src, project = canon_mod._edge_source(ds, MENTION_ENTITY_THRESHOLD,
-                                          MENTION_MENTION_THRESHOLD)
-    assert src is ds
+    project = canon_mod._edge_projection(MENTION_ENTITY_THRESHOLD,
+                                         MENTION_MENTION_THRESHOLD)
     raw = [(1, entity_node_id('E')), (1, entity_node_id('E')),
            (2, entity_node_id('E')), (1, 2), (1, 2), (1, 3),
            (5, entity_node_id('F')), (5, 6), (5, 6)]

@@ -46,3 +46,21 @@ def test_nt_literal_control_chars_roundtrip(ray_session, tmp_path):
     back = read_nt([os.path.join(d, f) for f in os.listdir(d)]).take_all()
     assert len(back) == 1
     assert back[0]['obj'] == tricky
+
+
+def test_second_write_replaces_the_first(ray_session, tmp_path):
+    """Part files are uuid-named, so a second write into the same
+    directory must clear it: 10 triples, then 3, read back as 3 lines."""
+    import ray.data as rd
+    out = str(tmp_path / 'nt')
+
+    def triples(n):
+        return rd.from_arrow(pa.Table.from_pydict({
+            'subj': [f'S{i}' for i in range(n)], 'pred': ['p'] * n,
+            'obj': [f'O{i}' for i in range(n)], 'is_literal': [False] * n}))
+
+    write_nt(triples(10), out)
+    write_nt(triples(3), out)
+    lines = [l for f in os.listdir(out)
+             for l in open(os.path.join(out, f)).read().splitlines() if l]
+    assert len(lines) == 3
